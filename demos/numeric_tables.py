@@ -11,8 +11,8 @@ re-runs must reproduce the committed constant bit for bit.
 import math
 from fractions import Fraction
 
-from errlab import (Side, kronecker_character, linform_numeric, mobius_sieve,
-                    numeric_constants, twist, untwisted_case)
+from errlab import (kronecker_character, make_case, mobius_sieve, numeric_constants,
+                    split_at, twist, untwisted_case)
 from errlab.decomposition import FROZEN_GROWTH_MAX, growth_max_ratio
 
 print("=" * 72)
@@ -32,15 +32,11 @@ print()
 print("=" * 72)
 print("2. A small numeric table of the split")
 print("=" * 72)
-dc = untwisted_case(10)
+dc = untwisted_case(make_case(mobius_sieve(10), 10))
 print(f"  {'x':>6} {'E':>12} {'E_AR':>12} {'E_AN':>12}")
 for k in range(0, 21):
     x = Fraction(k, 2)
-    side = Side.RIGHT if x.denominator == 1 else Side.POINT
-    vals = [dc.error.eval_at(x, side),
-            dc.arithmetic_series.eval_at(x, side) * x,
-            dc.analytic_part.eval_at(x, side)]
-    e, ar, an = (linform_numeric(v, a2, a1).real for v in vals)
+    e, ar, an = (v.numeric(a2, a1).real for v in split_at(dc, x))
     print(f"  {str(x):>6} {e:12.6f} {ar:12.6f} {an:12.6f}")
 
 print()

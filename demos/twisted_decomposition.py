@@ -11,15 +11,15 @@ split needs the extra constant 1/2 and holds only from x = 1 on.
 
 from fractions import Fraction
 
-from errlab import (decompose, kronecker_character, trivial_character_relations,
-                    twisted_case, untwisted_case)
+from errlab import (decompose, kronecker_character, make_case, mobius_sieve, split_at,
+                    trivial_character_relations, twist, twisted_case, untwisted_case)
 
 print("=" * 72)
 print("1. Twisted split for the character of discriminant -3")
 print("=" * 72)
 chi = kronecker_character(-3)
 print(f"  character table mod {chi.q}: {chi.table}")
-tc = twisted_case(chi, 40)
+tc = twisted_case(chi, make_case(twist(mobius_sieve(40), chi), 40))
 for x in (Fraction(1, 2), Fraction(7, 2), 5, 12):
     ar, an, res = decompose(tc, Fraction(x))
     print(f"  x = {str(x):5s} E_AR = {ar}")
@@ -30,14 +30,12 @@ print()
 print("=" * 72)
 print("2. Plain split: exact from x = 1, off by 1/2 below")
 print("=" * 72)
-uc = untwisted_case(40)
+uc = untwisted_case(make_case(mobius_sieve(40), 40))
 for x in (1, Fraction(3, 2), 2, Fraction(22, 3)):
     ar, an, res = decompose(uc, Fraction(x))
     print(f"  x = {str(x):5s} residual = {res}")
-x = Fraction(1, 2)
-gap = (uc.error.eval_at(x) - uc.arithmetic_series.eval_at(x) * x
-       - uc.analytic_part.eval_at(x))
-print(f"  x = 1/2  raw gap  = {gap}   (the stated domain starts at 1)")
+e, ar, an = split_at(uc, Fraction(1, 2))
+print(f"  x = 1/2  raw gap  = {e - ar - an}   (the stated domain starts at 1)")
 
 print()
 print("=" * 72)

@@ -9,10 +9,9 @@ identity to a residual whose zero test is a coefficient comparison.
 
 from .errors import (CapacityError, DivergentAtZeroError, DomainError, FormatError,
                      LogCaseError, PrecisionError, UncertifiableSeriesError)
-from .exactnum import (ConstLinear, GaussianRational, as_gaussian, linform_combine,
-                       linform_is_zero, linform_numeric)
-from .piecewise import (PiecewiseLaurent, Side, combine, constant_function, eval_at,
-                        integrate, monomial, shift_exponent)
+from .exactnum import ConstLinear, GaussianRational, as_gaussian
+from .piecewise import (PiecewiseLaurent, Side, combine, constant_function, monomial,
+                        shift_exponent)
 from .report import ReportRow, VerificationReport
 from .sequences import (ArithSequence, CharacterSpec, convolve_id, floor_sum,
                         is_fundamental_discriminant, kronecker_character,
@@ -21,9 +20,8 @@ from .sequences import (ArithSequence, CharacterSpec, convolve_id, floor_sum,
 from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
                        homogeneous_residual, make_case, remainder_integral_residual,
                        residual, resolvent_apply, resolvent_function, solution_family)
-from .decomposition import (DecompositionCase, build_fracsquare_series,
-                            build_sawtooth_series, decompose, generic_case,
-                            growth_max_ratio, sawtooth, trivial_character_relations,
-                            twisted_case, untwisted_case)
+from .decomposition import (DecompositionCase, build_fracsquare_series, decompose,
+                            generic_case, growth_max_ratio, sawtooth, split_at,
+                            trivial_character_relations, twisted_case, untwisted_case)
 
 __version__ = "0.1.0"

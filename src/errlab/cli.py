@@ -12,19 +12,19 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional
 
 from .decomposition import (FROZEN_GROWTH_MAX, build_fracpart_series, decompose,
-                            growth_max_ratio, trivial_character_relations,
+                            growth_max_ratio, split_at, trivial_character_relations,
                             twisted_case, untwisted_case)
 from .errors import (CapacityError, DivergentAtZeroError, DomainError, FormatError,
                      LogCaseError, PrecisionError, UncertifiableSeriesError)
 from .exactnum import ConstLinear, GaussianRational, as_gaussian, parse_rational
 from .piecewise import PiecewiseLaurent, Side
 from .report import VerificationReport
-from .sequences import (MAX_SIEVE, ArithSequence, CharacterSpec, convolve_id,
+from .sequences import (MAX_SIEVE, ArithSequence, CharacterSpec,
                         kronecker_character, mobius_sieve, numeric_constants,
                         read_character_csv, read_sequence_csv, summatory,
                         summatory_via_floor_identity, twist, write_character_csv,
@@ -167,6 +167,13 @@ def _load_sequences(cfg: RunConfig, n: int):
     return a, b_override, chi, kind
 
 
+def _load_to_X(cfg: RunConfig):
+    """_load_sequences for verify and table, which sieve up to floor(X)."""
+    if cfg.X < 1 and not cfg.seq.startswith("file:"):
+        raise DomainError(f"X = {cfg.X} is below 1, so there is nothing to sieve")
+    return _load_sequences(cfg, math.floor(cfg.X))
+
+
 def _grid(X: Fraction, denom: int, start: int = 1):
     top = math.floor(X * denom)
     return [Fraction(k, denom) for k in range(start, top + 1)]
@@ -183,8 +190,7 @@ def _open_out(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def _run_verify(cfg: RunConfig) -> VerificationReport:
-    n_needed = math.floor(cfg.X)
-    a, b_override, chi, kind = _load_sequences(cfg, n_needed)
+    a, b_override, chi, kind = _load_to_X(cfg)
     if not cfg.x_explicit and cfg.X > a.N:
         cfg.X = Fraction(a.N)
     report = VerificationReport()
@@ -195,7 +201,7 @@ def _run_verify(cfg: RunConfig) -> VerificationReport:
     h = build_fracpart_series(case0)
 
     for A in cfg.A_list:
-        F = solution_family(make_case(a, cfg.X, A, b=b_override))
+        F = solution_family(replace(case0, A=A))
         tag = f"volterra[A={A.to_text()}]"
         for x in grid:
             report.add(tag, x, residual(F, E, x))
@@ -231,13 +237,13 @@ def _run_verify(cfg: RunConfig) -> VerificationReport:
         report.add(f"remainder_continuity[{n}]", n, r_right - r_left)
 
     if kind == "mu":
-        dc = untwisted_case(cfg.X, a=a, b=b_override)
+        dc = untwisted_case(case0)
         for x in _grid(cfg.X, cfg.grid_denominator, start=cfg.grid_denominator):
             report.add("decomposition", x, decompose(dc, x)[2])
         trivX = min(cfg.X, Fraction(100))
         report.extend(trivial_character_relations(trivX, cfg.grid_denominator))
     elif kind == "mu_chi":
-        dc = twisted_case(chi, cfg.X, b=b_override)
+        dc = twisted_case(chi, case0)
         report.add("decomposition", 0, decompose(dc, 0)[2])
         for x in grid:
             report.add("decomposition", x, decompose(dc, x)[2])
@@ -289,18 +295,12 @@ def _constants_for_table(cfg: RunConfig, chi) -> tuple:
 
 
 def cmd_table(cfg: RunConfig) -> int:
-    n_needed = math.floor(cfg.X)
-    if cfg.seq == "mu":
-        dc = untwisted_case(cfg.X)
-        chi = None
-    elif cfg.seq == "mu_chi":
-        chi = _character_for(cfg)
-        if chi is None:
-            raise FormatError("--seq mu_chi requires --D or --chi-file")
-        dc = twisted_case(chi, cfg.X)
-    else:
+    a, _, chi, kind = _load_to_X(cfg)
+    if kind == "file":
         raise FormatError("table supports --seq mu and mu_chi (the split is "
                           "defined for those cases)")
+    case = make_case(a, cfg.X)
+    dc = untwisted_case(case) if chi is None else twisted_case(chi, case)
     numeric = cfg.mode == "numeric"
     if numeric:
         a2, a1, (b2, b1) = _constants_for_table(cfg, chi)
@@ -310,21 +310,17 @@ def cmd_table(cfg: RunConfig) -> int:
     try:
         if numeric:
             fh.write(f"# a2 = {a2.real!r} +/- {b2!r}\n")
-            fh.write(f"# a1 = {0.0 if a1 is None else a1.real!r} +/- {b1!r}\n")
+            fh.write(f"# a1 = {a1.real!r} +/- {b1!r}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "E", "E_AR", "E_AN"])
         for k in range(0, math.floor(cfg.X * cfg.grid_denominator) + 1):
             x = Fraction(k, cfg.grid_denominator)
-            side = Side.RIGHT if (x.denominator == 1 and dc.kind == "untwisted") else (
-                Side.MIDPOINT if (x.denominator == 1 and x > 0) else Side.POINT)
-            e = dc.error.eval_at(x, side)
-            e_ar = dc.arithmetic_series.eval_at(x, side) * x
-            e_an = dc.analytic_part.eval_at(x, side)
+            values = split_at(dc, x)
             if numeric:
-                row = [float(x)] + [v.numeric(a2, a1 or 0.0).real for v in (e, e_ar, e_an)]
+                row = [float(x)] + [v.numeric(a2, a1 or 0.0).real for v in values]
                 writer.writerow([repr(v) for v in row])
             else:
-                writer.writerow([str(x), e.to_text(), e_ar.to_text(), e_an.to_text()])
+                writer.writerow([str(x)] + [v.to_text() for v in values])
     finally:
         if out:
             out.close()

@@ -23,6 +23,11 @@ piece is an exact Laurent polynomial with ConstLinear coefficients.  When a
 sequence declares an exact A1 (the Moebius function declares 0) the symbol is
 replaced by its value, which is what makes the trivial-character relations
 f(x, triv) = f(x) and g(x, triv) = g(x) + 1 exact-zero checkable.
+
+Every constructor here takes a VolterraCase from volterra.make_case, so the
+sequence is sieved and convolved once, by the caller; the case's ``b`` feeds
+the error term and its ``b_true`` feeds the series.  split_at reads E, E_AR
+and E_AN at a point under the one breakpoint convention of both splits.
 """
 
 from __future__ import annotations
@@ -45,11 +50,11 @@ from .volterra import VolterraCase, build_error_term, build_fracpart_series, mak
 __all__ = [
     "sawtooth",
     "build_fracsquare_series",
-    "build_sawtooth_series",
     "DecompositionCase",
     "untwisted_case",
     "twisted_case",
     "generic_case",
+    "split_at",
     "decompose",
     "trivial_character_relations",
     "growth_max_ratio",
@@ -95,7 +100,7 @@ def _unit_convolve(a: ArithSequence, upto: int):
     return out
 
 
-def build_fracsquare_series(a: ArithSequence, X, twisted: bool = False) -> PiecewiseLaurent:
+def build_fracsquare_series(case: VolterraCase, twisted: bool = False) -> PiecewiseLaurent:
     """sum a(n) {x/n}^2 (plain) or sum a(n) {x/n}({x/n} - 1) (twisted).
 
     Closed piecewise form on (k, k+1): the tail n > x contributes
@@ -107,23 +112,20 @@ def build_fracsquare_series(a: ArithSequence, X, twisted: bool = False) -> Piece
 
     with m_n = floor(k/n) and C_k = sum_{n<=k} (a(n)/n) m_n.  The constants
     advance by 2 b(k) - sum_{d|k} a(d) in the plain shape and by 2 b(k) in
-    the twisted one, so two divisor passes build every piece.  The twisted
-    shape is continuous at integers; the plain one is right-continuous.
+    the twisted one, so the case's ``b_true`` and one more divisor pass build
+    every piece.  The twisted shape is continuous at integers; the plain one
+    is right-continuous.
     """
-    X = Fraction(X)
-    kmax = math.floor(X)
-    if X <= 0 or kmax > a.N:
-        raise DomainError(f"domain end {X} outside the sieve range 1..{a.N}")
-    b = convolve_id(a, upto=kmax)
-    u = None if twisted else _unit_convolve(a, kmax)
+    kmax = math.floor(case.X)
+    u = None if twisted else _unit_convolve(case.a, kmax)
     quad = ConstLinear.a2(1)
-    a1_handle = _a1_form(a)
+    a1_handle = _a1_form(case.a)
     pieces = []
     two_c = GaussianRational(0)   # 2 C_k
     const = GaussianRational(0)   # the pure-rational piece constant
     for k in range(kmax + 1):
         if k:
-            bk = as_gaussian(b.value(k))
+            bk = as_gaussian(case.b_true.value(k))
             two_c = two_c + (bk / k) * 2
             const = const + bk * 2
             if not twisted:
@@ -132,32 +134,7 @@ def build_fracsquare_series(a: ArithSequence, X, twisted: bool = False) -> Piece
         if twisted:
             lin = lin - a1_handle
         pieces.append({2: quad, 1: lin, 0: ConstLinear(const)})
-    return PiecewiseLaurent(X, pieces)
-
-
-def build_sawtooth_series(a: ArithSequence, X) -> PiecewiseLaurent:
-    """sum (a(d)/d) s(x/d) with s(y) = 1/2 - {y} normalized to 0 at integers.
-
-    Piecewise this is the fractional-part series plus the constant A1/2:
-    slope -A2 and constant sum_{d<=k} (a(d)/d) floor(k/d) + A1/2 on (k, k+1).
-    Midpoint evaluation at integers reproduces the normalized sawtooth value,
-    and the representation is valid on (0, X] (at 0 itself the series is 0 by
-    the integer convention while the right limit is A1/2).
-    """
-    X = Fraction(X)
-    kmax = math.floor(X)
-    if X <= 0 or kmax > a.N:
-        raise DomainError(f"domain end {X} outside the sieve range 1..{a.N}")
-    b = convolve_id(a, upto=kmax)
-    slope = ConstLinear.a2(-1)
-    half_a1 = _a1_form(a) * Fraction(1, 2)
-    pieces = []
-    const = GaussianRational(0)
-    for k in range(kmax + 1):
-        if k:
-            const = const + as_gaussian(b.value(k)) / k
-        pieces.append({1: slope, 0: ConstLinear(const) + half_a1})
-    return PiecewiseLaurent(X, pieces)
+    return PiecewiseLaurent(case.X, pieces)
 
 
 @dataclass(frozen=True)
@@ -172,52 +149,64 @@ class DecompositionCase:
     chi: Optional[CharacterSpec] = None
 
 
-def untwisted_case(X, a: Optional[ArithSequence] = None,
-                   b: Optional[ArithSequence] = None) -> DecompositionCase:
-    """The Moebius/totient decomposition on [0, X]."""
-    X = Fraction(X)
-    if a is None:
-        a = mobius_sieve(math.floor(X))
-    vc = make_case(a, X, 0, b=b)
-    E = build_error_term(vc)
-    f = build_fracpart_series(vc)
-    g = build_fracsquare_series(a, X)
+def untwisted_case(case: VolterraCase) -> DecompositionCase:
+    """The Moebius/totient decomposition of a Moebius case on [0, X]."""
+    g = build_fracsquare_series(case)
     # E_AN = g/2 + 1/2
     half = ConstLinear.scalar(Fraction(1, 2))
-    pieces = [{**{e: c * Fraction(1, 2) for e, c in p.items()}} for p in g.pieces]
+    pieces = [{e: c * Fraction(1, 2) for e, c in p.items()} for p in g.pieces]
     for p in pieces:
         p[0] = p.get(0, ConstLinear.zero()) + half
-    an = PiecewiseLaurent(X, pieces)
-    return DecompositionCase("untwisted", X, E, f, an)
+    return DecompositionCase("untwisted", case.X, build_error_term(case),
+                             build_fracpart_series(case), PiecewiseLaurent(case.X, pieces))
 
 
-def twisted_case(chi: CharacterSpec, X,
-                 b: Optional[ArithSequence] = None) -> DecompositionCase:
-    """The character-twisted decomposition on [0, X]."""
-    X = Fraction(X)
-    a = twist(mobius_sieve(math.floor(X)), chi)
-    vc = make_case(a, X, 0, b=b)
-    E = build_error_term(vc)
-    f = build_sawtooth_series(a, X)
-    g = build_fracsquare_series(a, X, twisted=True)
-    an = PiecewiseLaurent(X, [{e: c * Fraction(1, 2) for e, c in p.items()}
-                              for p in g.pieces])
-    return DecompositionCase("twisted", X, E, f, an, chi=chi)
+def _plus_half_a1(h: PiecewiseLaurent, a: ArithSequence) -> PiecewiseLaurent:
+    """The sawtooth series sum (a(d)/d) s(x/d), s(y) = 1/2 - {y}, from the
+    fractional-part series h of a: h + A1/2 on every piece.
+
+    Midpoint evaluation at integers reproduces the sawtooth normalized to 0
+    there; the representation is valid on (0, X] (at 0 itself the series is
+    0 by the integer convention while the right limit is A1/2).
+    """
+    half_a1 = _a1_form(a) * Fraction(1, 2)
+    return PiecewiseLaurent(h.X, [{**p, 0: p.get(0, ConstLinear.zero()) + half_a1}
+                                  for p in h.pieces])
 
 
-def generic_case(a: ArithSequence, X,
-                 b: Optional[ArithSequence] = None) -> DecompositionCase:
+def twisted_case(chi: CharacterSpec, case: VolterraCase) -> DecompositionCase:
+    """The decomposition on [0, X] of a case whose sequence is the Moebius
+    function twisted by chi."""
+    f = _plus_half_a1(build_fracpart_series(case), case.a)
+    g = build_fracsquare_series(case, twisted=True)
+    an = PiecewiseLaurent(case.X, [{e: c * Fraction(1, 2) for e, c in p.items()}
+                                   for p in g.pieces])
+    return DecompositionCase("twisted", case.X, build_error_term(case), f, an, chi=chi)
+
+
+def generic_case(case: VolterraCase) -> DecompositionCase:
     """Arithmetic part only; no analytic-part claim for a general sequence."""
-    X = Fraction(X)
-    vc = make_case(a, X, 0, b=b)
-    return DecompositionCase("generic", X, build_error_term(vc),
-                             build_fracpart_series(vc), None)
+    return DecompositionCase("generic", case.X, build_error_term(case),
+                             build_fracpart_series(case), None)
 
 
 def _side_for(case: DecompositionCase, x: Fraction) -> Side:
     if case.kind == "twisted":
         return Side.MIDPOINT if (x.denominator == 1 and x > 0) else Side.POINT
     return Side.RIGHT if x.denominator == 1 else Side.POINT
+
+
+def split_at(case: DecompositionCase, x):
+    """Exact (E, E_AR, E_AN) at x, with no domain check.
+
+    Integers take right limits in the plain and generic cases and midpoint
+    values (x > 0) in the twisted one.  E_AN is None for a generic case.
+    """
+    x = Fraction(x)
+    side = _side_for(case, x)
+    e_ar = case.arithmetic_series.eval_at(x, side) * x
+    e_an = None if case.analytic_part is None else case.analytic_part.eval_at(x, side)
+    return case.error.eval_at(x, side), e_ar, e_an
 
 
 def decompose(case: DecompositionCase, x):
@@ -233,13 +222,10 @@ def decompose(case: DecompositionCase, x):
         raise DomainError("the plain decomposition is stated for x >= 1")
     if x < 0 or x > case.X:
         raise DomainError(f"point {x} outside [0, {case.X}]")
-    side = _side_for(case, x)
-    e_ar = case.arithmetic_series.eval_at(x, side) * x
-    if case.kind == "generic":
+    e, e_ar, e_an = split_at(case, x)
+    if e_an is None:
         return e_ar, None, None
-    e_an = case.analytic_part.eval_at(x, side)
-    res = case.error.eval_at(x, side) - e_ar - e_an
-    return e_ar, e_an, res
+    return e_ar, e_an, e - e_ar - e_an
 
 
 def trivial_character_relations(X, grid_denominator: int = 3) -> VerificationReport:
@@ -253,9 +239,9 @@ def trivial_character_relations(X, grid_denominator: int = 3) -> VerificationRep
     a = mobius_sieve(math.floor(X))
     vc = make_case(a, X, 0)
     f_plain = build_fracpart_series(vc)
-    f_triv = build_sawtooth_series(a, X)
-    g_plain = build_fracsquare_series(a, X)
-    g_triv = build_fracsquare_series(a, X, twisted=True)
+    f_triv = _plus_half_a1(f_plain, a)
+    g_plain = build_fracsquare_series(vc)
+    g_triv = build_fracsquare_series(vc, twisted=True)
     one = ConstLinear.scalar(1)
     report = VerificationReport()
     for k in range(grid_denominator, math.floor(X * grid_denominator) + 1):

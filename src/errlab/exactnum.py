@@ -23,9 +23,6 @@ __all__ = [
     "ConstLinear",
     "as_gaussian",
     "parse_rational",
-    "linform_combine",
-    "linform_is_zero",
-    "linform_numeric",
 ]
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
@@ -59,29 +56,8 @@ class GaussianRational:
         self.re = _frac(re)
         self.im = _frac(im)
 
-    # The four raw fields: reduced fractions with positive denominators are
-    # guaranteed by Fraction itself.
-    @property
-    def re_num(self) -> int:
-        return self.re.numerator
-
-    @property
-    def re_den(self) -> int:
-        return self.re.denominator
-
-    @property
-    def im_num(self) -> int:
-        return self.im.numerator
-
-    @property
-    def im_den(self) -> int:
-        return self.im.denominator
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact rational."""
@@ -298,16 +274,3 @@ class ConstLinear:
 
     def __repr__(self) -> str:
         return f"ConstLinear('{self.to_text()}')"
-
-
-def linform_combine(u: ConstLinear, v: ConstLinear, s, t) -> ConstLinear:
-    """Coefficientwise s*u + t*v."""
-    return u * s + v * t
-
-
-def linform_is_zero(v: ConstLinear) -> bool:
-    return v.is_zero()
-
-
-def linform_numeric(v: ConstLinear, a2: complex, a1: complex) -> complex:
-    return v.numeric(a2, a1)

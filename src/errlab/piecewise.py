@@ -25,8 +25,6 @@ __all__ = [
     "EXP_MAX",
     "Side",
     "PiecewiseLaurent",
-    "eval_at",
-    "integrate",
     "combine",
     "shift_exponent",
     "constant_function",
@@ -263,14 +261,6 @@ class PiecewiseLaurent:
 # ---------------------------------------------------------------------------
 # module-level operation surface
 # ---------------------------------------------------------------------------
-
-def eval_at(f: PiecewiseLaurent, x, side: Side = Side.POINT) -> ConstLinear:
-    return f.eval_at(x, side)
-
-
-def integrate(f: PiecewiseLaurent, x, weight="1") -> ConstLinear:
-    return f.integrate(x, weight)
-
 
 def combine(f: PiecewiseLaurent, g: PiecewiseLaurent, s, t) -> PiecewiseLaurent:
     """Pointwise s*f + t*g on a shared breakpoint layout."""

@@ -62,12 +62,17 @@ class ArithSequence:
     ``magnitude_bound`` is a rational B with |a(n)| <= B for every n, used for
     series tail bounds.  ``known_A1`` declares the exact value of
     sum_{n>=1} a(n)/n when that sum is known; for the Moebius function it is 0.
+    A numpy array of values must have an integer dtype; other values go in a
+    list.
     """
 
     def __init__(self, name: str, values, magnitude_bound: Optional[Fraction] = None,
                  known_A1: Optional[GaussianRational] = None):
         self.name = name
         if isinstance(values, np.ndarray):
+            if not np.issubdtype(values.dtype, np.integer):
+                raise TypeError(f"sequence {name!r}: numpy values need an integer "
+                                f"dtype, not {values.dtype}")
             # index 0 is a padding slot
             self._arr = values.astype(np.int64, copy=False)
             self._list = None
@@ -321,7 +326,8 @@ def floor_sum(a: ArithSequence, x) -> GaussianRational:
         raise DomainError(f"evaluation point {x} outside 0..{a.N}")
     arr = a.int_array()
     k = math.floor(x)
-    if arr is not None and k:
+    # d * denominator <= numerator here, so int64 is exact when the numerator fits
+    if arr is not None and k and x.numerator <= np.iinfo(np.int64).max:
         d = np.arange(1, k + 1, dtype=np.int64)
         vals = x.numerator // (d * x.denominator)
         return GaussianRational(int(np.dot(arr[1:k + 1], vals)))
@@ -348,7 +354,7 @@ def _partial_a2(a: ArithSequence) -> complex:
 
 
 def numeric_constants(a: ArithSequence, chi: Optional[CharacterSpec] = None,
-                      precision_target: float = 1e-6, require_a1: bool = True):
+                      precision_target: float = 1e-6):
     """Float values (a2, a1, (a2_bound, a1_bound)) for the series constants.
 
     a2 is the partial sum of a(n)/n^2 over the stored range with the tail
@@ -361,12 +367,9 @@ def numeric_constants(a: ArithSequence, chi: Optional[CharacterSpec] = None,
     bound = a.magnitude_bound
     if bound is None and chi is not None:
         bound = Fraction(1)  # Moebius-twist convention: |mu(n)chi(n)| <= 1
-    if bound is None and a.known_A1 is None:
-        raise UncertifiableSeriesError(
-            "no magnitude bound and no character structure; series tails cannot be certified")
     if bound is None:
         raise UncertifiableSeriesError(
-            "magnitude bound required to certify the a2 tail")
+            "no magnitude bound and no character structure; the a2 tail cannot be certified")
     a2_bound = float(bound) / a.N
     if a2_bound > precision_target:
         raise PrecisionError(
@@ -386,11 +389,9 @@ def numeric_constants(a: ArithSequence, chi: Optional[CharacterSpec] = None,
             raise PrecisionError(
                 f"a1 bound {a1_bound:.3g} exceeds the target {precision_target:.3g}")
         return a2, complex(a1), (a2_bound, a1_bound)
-    if require_a1:
-        raise UncertifiableSeriesError(
-            "a1 requested but the sequence declares no known value and has no "
-            "character structure (conditional convergence not certifiable)")
-    return a2, None, (a2_bound, float("inf"))
+    raise UncertifiableSeriesError(
+        "a1 requested but the sequence declares no known value and has no "
+        "character structure (conditional convergence not certifiable)")
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +460,8 @@ def read_character_csv(path) -> CharacterSpec:
             raise FormatError(f"{path}: header must be 'residue,value'")
         table = []
         for i, row in enumerate(reader):
+            if len(row) != 2:
+                raise FormatError(f"{path}: row {i + 1} has {len(row)} fields")
             if int(row[0]) != i:
                 raise FormatError(f"{path}: residues must run 0..q-1 in order")
             table.append(int(row[1]))

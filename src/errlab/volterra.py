@@ -45,10 +45,18 @@ __all__ = [
 @dataclass(frozen=True)
 class VolterraCase:
     """A sequence, its convolution against Id, a domain end and the free
-    constant of the solution family."""
+    constant of the solution family.
+
+    ``b_true`` is convolve_id(a), computed once per case; ``b`` is the
+    convolution the error term is built from, which is ``b_true`` unless a
+    supplied b overrides it.  The series built from ``a`` read ``b_true``, so
+    an override that is not the true convolution shows up as a nonzero
+    residual.  Derive cases that differ only in A with dataclasses.replace.
+    """
 
     a: ArithSequence
     b: ArithSequence
+    b_true: ArithSequence
     X: Fraction
     A: GaussianRational
 
@@ -61,24 +69,16 @@ def make_case(a: ArithSequence, X, A=0, b: Optional[ArithSequence] = None) -> Vo
         raise ValueError("domain end must be positive")
     if X > a.N:
         raise DomainError(f"domain end {X} exceeds the sieve range {a.N}")
+    b_true = convolve_id(a)
     if b is None:
-        b = convolve_id(a)
+        b = b_true
     else:
         if b.N < math.floor(X):
             raise DomainError(f"supplied b covers only 1..{b.N} < {math.floor(X)}")
         for n in range(1, min(8, b.N) + 1):
-            expect = _divisor_sum(a, n)
-            if as_gaussian(b.value(n)) != expect:
+            if as_gaussian(b.value(n)) != as_gaussian(b_true.value(n)):
                 raise ValueError(f"supplied b({n}) does not match the convolution")
-    return VolterraCase(a, b, X, as_gaussian(A))
-
-
-def _divisor_sum(a: ArithSequence, n: int) -> GaussianRational:
-    total = GaussianRational(0)
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total = total + as_gaussian(a.value(d)) * (n // d)
-    return total
+    return VolterraCase(a, b, b_true, X, as_gaussian(A))
 
 
 def _kmax(X: Fraction) -> int:
@@ -101,16 +101,15 @@ def build_fracpart_series(case: VolterraCase) -> PiecewiseLaurent:
 
     On (k, k+1) the floors are frozen, giving slope -A2 and the constant
     sum_{n<=k} (a(n)/n) floor(k/n); the constant advances by b(k)/k at k,
-    with b recomputed from a so the piece data depends on a alone.
+    with the case's ``b_true`` so the piece data depends on a alone.
     """
     kmax = _kmax(case.X)
-    b_true = convolve_id(case.a, upto=kmax)
     slope = ConstLinear.a2(-1)
     pieces = []
     const = GaussianRational(0)
     for k in range(kmax + 1):
         if k:
-            const = const + as_gaussian(b_true.value(k)) / k
+            const = const + as_gaussian(case.b_true.value(k)) / k
         pieces.append({1: slope, 0: ConstLinear(const)})
     return PiecewiseLaurent(case.X, pieces)
 

@@ -17,7 +17,7 @@ from errlab.decomposition import (FROZEN_GROWTH_MAX, decompose, growth_max_ratio
                                   trivial_character_relations, twisted_case,
                                   untwisted_case)
 from errlab.errors import LogCaseError
-from errlab.exactnum import ConstLinear, GaussianRational, linform_numeric
+from errlab.exactnum import ConstLinear, GaussianRational
 from errlab.piecewise import Side, monomial
 from errlab.sequences import (convolve_id, floor_sum, kronecker_character,
                               mobius_sieve, numeric_constants, summatory,
@@ -123,13 +123,14 @@ def test_criterion_4_resolvent_suite():
 
 
 def test_criterion_5_decomposition_suites():
-    dc = untwisted_case(X_MAIN)
+    dc = untwisted_case(make_case(mobius_sieve(X_MAIN), X_MAIN))
     plain_ok = all(decompose(dc, x)[2].is_zero()
                    for x in [Fraction(k, 3) for k in range(3, 3 * X_MAIN + 1)])
 
     twisted_ok = True
     for d in (-3, -4):
-        tc = twisted_case(kronecker_character(d), 100)
+        chi = kronecker_character(d)
+        tc = twisted_case(chi, make_case(twist(mobius_sieve(100), chi), 100))
         for k in range(0, 301):
             twisted_ok = twisted_ok and decompose(tc, Fraction(k, 3))[2].is_zero()
 
@@ -196,13 +197,13 @@ def test_criterion_7_truncation_consistency():
         xf = float(x)
         ratios = xf * inv_n
         truncated = float(-np.sum(arr * inv_n * (ratios - np.floor(ratios))))
-        exact = linform_numeric(h.eval_at(x, Side.RIGHT), a2.real, a1.real).real
+        exact = h.eval_at(x, Side.RIGHT).numeric(a2.real, a1.real).real
         diff = abs(truncated - exact)
         bound = xf / m_cut
         worst = max(worst, diff)
         ok = ok and diff <= bound
     at_100 = abs(float(-np.sum(arr * inv_n * ((100.0 * inv_n) - np.floor(100.0 * inv_n))))
-                 - linform_numeric(h.eval_at(100, Side.RIGHT), a2.real, a1.real).real)
+                 - h.eval_at(100, Side.RIGHT).numeric(a2.real, a1.real).real)
     ok = ok and at_100 <= 1e-3
     report(f"7 truncation at 1e5 within x/M everywhere (worst {worst:.2e}), "
            f"<= 1e-3 at x=100 ({at_100:.2e})", ok)

@@ -1,13 +1,14 @@
 """End-to-end command-line checks: exit codes, file formats, determinism."""
 
 import csv
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from errlab.cli import main
 from errlab.piecewise import monomial
-from errlab.sequences import convolve_id, mobius_sieve, read_sequence_csv
+from errlab.sequences import convolve_id, mobius_sieve, read_sequence_csv, totient_sieve
 
 
 def run(argv, capsys):
@@ -19,6 +20,41 @@ def run(argv, capsys):
 def rows_of(path):
     with open(path, newline="") as fh:
         return [r for r in csv.reader(fh) if r]
+
+
+# SHA-256 of the CSV each config writes, pinned so that refactors keep the
+# output byte for byte; "{b}" is a b-file with b(13) off by one.
+GOLDEN_OUTPUTS = {
+    "verify_mu": (["verify", "--seq", "mu", "--X", "20", "--A", "0", "--A", "3/2+1/2*i"], 0,
+                  "0849dee994a5745437c8baffec6a7c32f01e0c5fadf4c349dd0261935b6b0284"),
+    "verify_mu_chi": (["verify", "--seq", "mu_chi", "--D", "-4", "--X", "20"], 0,
+                      "cd4c0c484abc00d3c35559891cc097f923c98088160d48c3408ca4f4c4b29f8f"),
+    "verify_b_file": (["verify", "--seq", "mu", "--X", "20", "--b-file", "{b}"], 1,
+                      "8384be2ef7ff25ead15e186a3ab15b9d4414ac8de37da7b56a25c472182031f4"),
+    "table_mu": (["table", "--seq", "mu", "--X", "30"], 0,
+                 "71f46c784395e26c393ba8efe1b882e79751973d56040c72bb0e254dd4066648"),
+    "table_mu_chi": (["table", "--seq", "mu_chi", "--D", "-3", "--X", "30"], 0,
+                     "1b26a75e83c3a9893b9337c4239baf7e25b31fca4857a8f55650bf57ddbcf537"),
+    "table_mu_numeric": (["table", "--seq", "mu", "--X", "30", "--mode", "numeric",
+                          "--precision", "1e-4"], 0,
+                         "718bb5aeb1cf59a1ce823a3e8887cf6d9a0c6e77efb698ad24175bc97fa9b7a8"),
+    "table_mu_chi_numeric": (["table", "--seq", "mu_chi", "--D", "-3", "--X", "30",
+                              "--mode", "numeric", "--precision", "1e-4"], 0,
+                             "c1b1f5ce9160c95d89f7f3abb79491a67ccd4c9364ec01b5310671d53e65a198"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_golden_output_bytes(name, tmp_path, capsys):
+    argv, expect_code, digest = GOLDEN_OUTPUTS[name]
+    bfile = tmp_path / "b.csv"
+    phi = totient_sieve(20)
+    bfile.write_text("n,value\n" + "".join(
+        f"{n},{phi.value(n) + (1 if n == 13 else 0)}/1\n" for n in range(1, 21)))
+    out = tmp_path / "out.csv"
+    code, _, _ = run([s.format(b=bfile) for s in argv] + ["-o", str(out)], capsys)
+    assert code == expect_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestVerify:
@@ -95,6 +131,19 @@ class TestVerify:
         assert run(["verify", "--seq", "mu_chi", "--D", "9"], capsys)[0] == 2
         assert run(["verify", "--seq", "file:/does/not/exist.csv"], capsys)[0] == 2
 
+    def test_short_character_row_exits_2(self, tmp_path, capsys):
+        chi = tmp_path / "chi.csv"
+        chi.write_text("residue,value\n0,0\n1\n2,-1\n")
+        code, _, err = run(["verify", "--seq", "mu_chi", "--chi-file", str(chi),
+                            "--X", "5"], capsys)
+        assert code == 2
+        assert f"{chi}: row 2" in err
+
+    def test_domain_below_one_exits_2(self, capsys):
+        code, _, err = run(["verify", "--seq", "mu", "--X", "1/3"], capsys)
+        assert code == 2
+        assert "X = 1/3" in err
+
 
 class TestTable:
     def test_row_count_and_modes(self, tmp_path, capsys):
@@ -138,6 +187,11 @@ class TestTable:
         code, _, err = run(["table", "--seq", "mu", "--X", "5", "--mode", "numeric",
                             "--precision", "1e-12", "-o", str(tmp_path / "t.csv")], capsys)
         assert code == 3
+
+    def test_domain_below_one_exits_2(self, capsys):
+        code, _, err = run(["table", "--seq", "mu", "--X", "1/2"], capsys)
+        assert code == 2
+        assert "X = 1/2" in err
 
     def test_file_sequence_rejected(self, tmp_path, capsys):
         seq = tmp_path / "s.csv"

@@ -7,19 +7,36 @@ import pytest
 
 from conftest import frac_part, sawtooth_oracle
 from errlab.decomposition import (FROZEN_GROWTH_MAX, build_fracsquare_series,
-                                  build_sawtooth_series, decompose, generic_case,
-                                  growth_max_ratio, sawtooth,
-                                  trivial_character_relations, twisted_case,
+                                  decompose, generic_case, growth_max_ratio, sawtooth,
+                                  split_at, trivial_character_relations, twisted_case,
                                   untwisted_case)
 from errlab.errors import DomainError
 from errlab.exactnum import ConstLinear, GaussianRational, as_gaussian
 from errlab.piecewise import Side
-from errlab.sequences import (ArithSequence, convolve_id, kronecker_character,
+from errlab.sequences import (ArithSequence, CharacterSpec, kronecker_character,
                               mobius_sieve, twist)
 from errlab.volterra import build_fracpart_series, make_case
 
 A2 = ConstLinear.a2
 A1 = ConstLinear.a1
+TRIVIAL = CharacterSpec(1, (1,))
+
+
+def case_of(a, X=None):
+    return make_case(a, a.N if X is None else X)
+
+
+def plain(X):
+    return untwisted_case(case_of(mobius_sieve(X)))
+
+
+def twisted(chi, X):
+    return twisted_case(chi, case_of(twist(mobius_sieve(X), chi)))
+
+
+def sawtooth_series(chi, X):
+    """f(x, chi) = sum (mu(d)chi(d)/d) s(x/d), the twisted arithmetic series."""
+    return twisted(chi, X).arithmetic_series
 
 
 class TestSawtooth:
@@ -39,18 +56,18 @@ class TestSawtooth:
 class TestFracsquareSeries:
     def test_values_plain(self):
         mu = mobius_sieve(12)
-        g = build_fracsquare_series(mu, 12)
+        g = build_fracsquare_series(case_of(mu))
         assert g.eval_at(Fraction(1, 2)) == A2(Fraction(1, 4))
         assert g.eval_at(Fraction(3, 2)) == ConstLinear(-2, Fraction(9, 4), 0)
 
     def test_values_twisted_tail_only(self):
         a = twist(mobius_sieve(12), kronecker_character(-3))
-        g = build_fracsquare_series(a, 12, twisted=True)
+        g = build_fracsquare_series(case_of(a), twisted=True)
         assert g.eval_at(Fraction(1, 2)) == A2(Fraction(1, 4)) + A1(Fraction(-1, 2))
 
     def test_plain_constants_against_direct_floor_sums(self):
         mu = mobius_sieve(40)
-        g = build_fracsquare_series(mu, 40)
+        g = build_fracsquare_series(case_of(mu))
         for k in range(0, 41, 5):
             direct = 0
             for n in range(1, k + 1):
@@ -59,7 +76,7 @@ class TestFracsquareSeries:
 
     def test_twisted_constants_against_direct_floor_sums(self):
         a = twist(mobius_sieve(40), kronecker_character(-4))
-        g = build_fracsquare_series(a, 40, twisted=True)
+        g = build_fracsquare_series(case_of(a), twisted=True)
         for k in range(0, 41, 5):
             direct = 0
             for n in range(1, k + 1):
@@ -70,7 +87,7 @@ class TestFracsquareSeries:
     def test_closed_form_equals_series_plus_tail(self):
         # value = finite sum + x^2 (A2 - partial2) [- x (A1 - partial1) twisted]
         a = twist(mobius_sieve(30), kronecker_character(-3))
-        g2 = build_fracsquare_series(a, 30, twisted=True)
+        g2 = build_fracsquare_series(case_of(a), twisted=True)
         for x in (Fraction(7, 2), Fraction(22, 3)):
             finite = GaussianRational(0)
             p1 = GaussianRational(0)
@@ -87,22 +104,21 @@ class TestFracsquareSeries:
 
     def test_twisted_continuous_at_integers(self):
         a = twist(mobius_sieve(25), kronecker_character(-3))
-        g = build_fracsquare_series(a, 25, twisted=True)
+        g = build_fracsquare_series(case_of(a), twisted=True)
         for n in range(1, 25):
             assert g.eval_at(n, Side.LEFT) == g.eval_at(n, Side.RIGHT), n
 
 
 class TestSawtoothSeries:
     def test_tail_only_value(self):
-        a = twist(mobius_sieve(12), kronecker_character(-4))
-        f = build_sawtooth_series(a, 12)
+        f = sawtooth_series(kronecker_character(-4), 12)
         assert f.eval_at(Fraction(1, 2)) == A1(Fraction(1, 2)) + A2(Fraction(-1, 2))
 
     def test_integer_midpoint_matches_normalized_sawtooth(self):
         # at integers the divisor terms drop out (s vanishes there); the
         # midpoint value must equal the finite normalized sum plus the tail
         a = twist(mobius_sieve(30), kronecker_character(-3))
-        f = build_sawtooth_series(a, 30)
+        f = sawtooth_series(kronecker_character(-3), 30)
         for x in (6, 12, 17):
             finite = GaussianRational(0)
             p1 = GaussianRational(0)
@@ -118,8 +134,8 @@ class TestSawtoothSeries:
 
     def test_differs_from_fracpart_series_by_half_a1(self):
         a = twist(mobius_sieve(20), kronecker_character(-3))
-        f = build_sawtooth_series(a, 20)
-        h = build_fracpart_series(make_case(a, 20))
+        f = sawtooth_series(kronecker_character(-3), 20)
+        h = build_fracpart_series(case_of(a))
         for k in range(1, 60):
             x = Fraction(k, 3)
             if x.denominator == 1:
@@ -127,47 +143,44 @@ class TestSawtoothSeries:
             assert f.eval_at(x) - h.eval_at(x) == A1(Fraction(1, 2)), x
 
     def test_mobius_known_a1_folds_to_fracpart_series(self):
-        mu = mobius_sieve(20)
-        f = build_sawtooth_series(mu, 20)
-        h = build_fracpart_series(make_case(mu, 20))
+        case = case_of(mobius_sieve(20))
+        f = twisted_case(TRIVIAL, case).arithmetic_series
+        h = build_fracpart_series(case)
         assert f.eval_at(Fraction(7, 3)) == h.eval_at(Fraction(7, 3))
 
 
 class TestDecompose:
     def test_untwisted_hand_values(self):
-        dc = untwisted_case(12)
+        dc = plain(12)
         ar, an, res = decompose(dc, Fraction(3, 2))
         assert ar == ConstLinear(Fraction(3, 2), Fraction(-9, 4), 0)
         assert an == ConstLinear(Fraction(-1, 2), Fraction(9, 8), 0)
         assert res.is_zero()
 
     def test_untwisted_integer(self):
-        dc = untwisted_case(12)
+        dc = plain(12)
         ar, an, res = decompose(dc, 2)
         assert res.is_zero()
         assert ar == ConstLinear(3, -4, 0)
         assert an == ConstLinear(-1, 2, 0)
 
     def test_untwisted_grid(self):
-        dc = untwisted_case(60)
+        dc = plain(60)
         for k in range(3, 181):
             assert decompose(dc, Fraction(k, 3))[2].is_zero(), k
 
     def test_untwisted_domain_guard_and_half_gap(self):
-        dc = untwisted_case(12)
+        dc = plain(12)
         with pytest.raises(DomainError):
             decompose(dc, Fraction(1, 2))
         # below 1 the split misses by the constant 1/2
-        x = Fraction(1, 2)
-        gap = (dc.error.eval_at(x)
-               - dc.arithmetic_series.eval_at(x) * x
-               - dc.analytic_part.eval_at(x))
-        assert gap == ConstLinear.scalar(Fraction(-1, 2))
+        e, e_ar, e_an = split_at(dc, Fraction(1, 2))
+        assert e - e_ar - e_an == ConstLinear.scalar(Fraction(-1, 2))
 
     @pytest.mark.parametrize("d", [-3, -4])
     def test_twisted_hand_value_and_grid(self, d):
         chi = kronecker_character(d)
-        dc = twisted_case(chi, 40)
+        dc = twisted(chi, 40)
         ar, an, res = decompose(dc, Fraction(1, 2))
         assert ar == A1(Fraction(1, 4)) + A2(Fraction(-1, 4))
         assert res.is_zero()
@@ -177,7 +190,7 @@ class TestDecompose:
             assert res.is_zero(), x
 
     def test_twisted_a1_cancels_but_is_present(self):
-        dc = twisted_case(kronecker_character(-3), 20)
+        dc = twisted(kronecker_character(-3), 20)
         x = Fraction(7, 2)
         ar, an, res = decompose(dc, x)
         assert not ar.cA1.is_zero()
@@ -186,9 +199,8 @@ class TestDecompose:
 
     def test_twisted_arithmetic_part_shifts_fracpart_solution_by_half_a1_x(self):
         chi = kronecker_character(-4)
-        a = twist(mobius_sieve(20), chi)
-        dc = twisted_case(chi, 20)
-        h = build_fracpart_series(make_case(a, 20))
+        dc = twisted(chi, 20)
+        h = build_fracpart_series(case_of(twist(mobius_sieve(20), chi)))
         for k in range(1, 60):
             x = Fraction(k, 3)
             if x.denominator == 1:
@@ -199,10 +211,10 @@ class TestDecompose:
     def test_generic_case_arithmetic_only(self):
         a = ArithSequence("g", [1, Fraction(1, 3), -2, 0, 1],
                           magnitude_bound=Fraction(2))
-        dc = generic_case(a, 5)
+        dc = generic_case(case_of(a))
         ar, an, res = decompose(dc, Fraction(7, 2))
         assert an is None and res is None
-        h = build_fracpart_series(make_case(a, 5))
+        h = build_fracpart_series(case_of(a))
         assert ar == h.eval_at(Fraction(7, 2)) * Fraction(7, 2)
 
 
@@ -212,16 +224,16 @@ class TestTrivialCharacter:
         assert len(rep) > 0 and rep.all_pass
 
     def test_g_relation_is_exactly_one(self):
-        mu = mobius_sieve(12)
-        g_plain = build_fracsquare_series(mu, 12)
-        g_triv = build_fracsquare_series(mu, 12, twisted=True)
+        case = case_of(mobius_sieve(12))
+        g_plain = build_fracsquare_series(case)
+        g_triv = build_fracsquare_series(case, twisted=True)
         x = Fraction(3, 2)
         assert g_triv.eval_at(x) - g_plain.eval_at(x) == ConstLinear.scalar(1)
 
     def test_relation_fails_below_one(self):
-        mu = mobius_sieve(4)
-        g_plain = build_fracsquare_series(mu, 4)
-        g_triv = build_fracsquare_series(mu, 4, twisted=True)
+        case = case_of(mobius_sieve(4))
+        g_plain = build_fracsquare_series(case)
+        g_triv = build_fracsquare_series(case, twisted=True)
         x = Fraction(1, 2)
         assert g_triv.eval_at(x) - g_plain.eval_at(x) != ConstLinear.scalar(1)
 

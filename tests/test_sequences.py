@@ -1,9 +1,11 @@
 """Sieves, characters, convolution, summatory sums and numeric constants."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from conftest import (divisor_sum_oracle, mobius_oracle, quadratic_residue_character,
@@ -126,6 +128,13 @@ class TestTwistAndConvolution:
         for n in range(1, 31):
             assert as_gaussian(b.value(n)) == divisor_sum_oracle(a, n)
 
+    def test_non_integer_array_rejected(self):
+        with pytest.raises(TypeError):
+            ArithSequence("f", np.array([0, 0.5, 1.5]))
+        with pytest.raises(TypeError):
+            ArithSequence("b", np.array([False, True]))
+        assert ArithSequence("i", np.array([0, 2, -1], dtype=np.int32)).value(2) == -1
+
     def test_convolution_generic_values(self):
         a = ArithSequence("z", [GaussianRational(1, 1), Fraction(1, 2), 0, 1])
         b = convolve_id(a)
@@ -164,6 +173,22 @@ class TestSummatory:
         for k in range(2, 801):
             x = Fraction(k, 2)
             assert floor_sum(mu, x) == GaussianRational(1), x
+        # a numerator beyond int64
+        assert floor_sum(mu, Fraction(10 ** 20 - 1, 10 ** 19)) == GaussianRational(1)
+
+    def test_floor_sum_int_array_matches_list_path(self):
+        rng = random.Random(0)
+        seqs = [mobius_sieve(60), totient_sieve(60)]
+        lists = [ArithSequence("list", [s.value(n) for n in range(1, 61)]) for s in seqs]
+        assert all(s.int_array() is None for s in lists)
+        large = 0
+        for _ in range(300):
+            q = rng.randrange(1, 10 ** rng.choice((1, 3, 12, 19, 22)))
+            x = Fraction(rng.randrange(0, 60 * q + 1), q)
+            large += x.numerator > np.iinfo(np.int64).max
+            for seq, listed in zip(seqs, lists):
+                assert floor_sum(seq, x) == floor_sum(listed, x), x
+        assert large > 50
 
 
 class TestNumericConstants:
@@ -198,8 +223,6 @@ class TestNumericConstants:
         bounded = ArithSequence("bounded", [1, -1, 1, -1], magnitude_bound=Fraction(1))
         with pytest.raises(UncertifiableSeriesError):
             numeric_constants(bounded, precision_target=0.5)
-        a2, a1, _ = numeric_constants(bounded, precision_target=0.5, require_a1=False)
-        assert a1 is None
 
     def test_precision_unattainable(self):
         mu = mobius_sieve(100)
