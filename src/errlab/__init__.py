@@ -18,8 +18,9 @@ from .sequences import (ArithSequence, CharacterSpec, convolve_id, floor_sum,
                         kronecker_symbol, mobius_sieve, numeric_constants,
                         summatory, summatory_via_floor_identity, totient_sieve, twist)
 from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
-                       homogeneous_residual, make_case, remainder_integral_residual,
-                       residual, resolvent_apply, resolvent_function, solution_family)
+                       homogeneous_function, homogeneous_residual, make_case,
+                       remainder_integral_residual, residual, resolvent_apply,
+                       resolvent_function, solution_family)
 from .decomposition import (DecompositionCase, build_fracsquare_series, decompose,
                             generic_case, growth_max_ratio, sawtooth, split_at,
                             trivial_character_relations, twisted_case, untwisted_case)

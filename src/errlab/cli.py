@@ -2,7 +2,8 @@
 resolvent applied to user data.
 
 Exit codes: 0 all identities pass, 1 an identity failed, 2 usage or parse
-error (including non-integrable input), 3 precision target unattainable.
+error (including non-integrable input), 3 precision target unattainable,
+4 internal error (an unexpected exception, never read as a failed identity).
 Exact mode is the default everywhere; numeric mode is opt-in.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import csv
 import math
 import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional
@@ -29,14 +31,15 @@ from .sequences import (MAX_SIEVE, ArithSequence, CharacterSpec,
                         read_character_csv, read_sequence_csv, summatory,
                         summatory_via_floor_identity, twist, write_character_csv,
                         write_sequence_csv)
-from .volterra import (build_error_term, homogeneous_residual, make_case,
-                       remainder_integral_residual, residual, resolvent_apply,
-                       resolvent_function, solution_family)
+from .volterra import (build_error_term, homogeneous_function, homogeneous_residual,
+                       make_case, remainder_integral_residual, residual,
+                       resolvent_apply, resolvent_function, solution_family)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -168,10 +171,11 @@ def _load_sequences(cfg: RunConfig, n: int):
 
 
 def _load_to_X(cfg: RunConfig):
-    """_load_sequences for verify and table, which sieve up to floor(X)."""
+    """_load_sequences for verify and table, which sieve up to ceil(X) so that
+    the sieve covers a non-integer X."""
     if cfg.X < 1 and not cfg.seq.startswith("file:"):
         raise DomainError(f"X = {cfg.X} is below 1, so there is nothing to sieve")
-    return _load_sequences(cfg, math.floor(cfg.X))
+    return _load_sequences(cfg, math.ceil(cfg.X))
 
 
 def _grid(X: Fraction, denom: int, start: int = 1):
@@ -212,8 +216,9 @@ def _run_verify(cfg: RunConfig) -> VerificationReport:
 
     for A in (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)):
         tag = f"homogeneous[A={A.to_text()}]"
+        G = homogeneous_function(A, cfg.X)
         for x in grid:
-            report.add(tag, x, homogeneous_residual(A, x))
+            report.add(tag, x, homogeneous_residual(A, x, G=G))
 
     resolvent = resolvent_function(E, 0)
     for x in grid:
@@ -415,6 +420,11 @@ def main(argv=None) -> int:
             UncertifiableSeriesError, CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a bug, not a verdict: keep the traceback for the report
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

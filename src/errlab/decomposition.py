@@ -236,7 +236,7 @@ def trivial_character_relations(X, grid_denominator: int = 3) -> VerificationRep
     [1, X]; alongside, sum_{d<=x} mu(d) floor(x/d) = 1 on the same grid.
     """
     X = Fraction(X)
-    a = mobius_sieve(math.floor(X))
+    a = mobius_sieve(math.ceil(X))
     vc = make_case(a, X, 0)
     f_plain = build_fracpart_series(vc)
     f_triv = _plus_half_a1(f_plain, a)

@@ -308,15 +308,24 @@ def summatory_via_floor_identity(a: ArithSequence, x) -> GaussianRational:
     """sum_{d<=x} a(d) * floor(x/d) * (floor(x/d)+1) / 2, exact.
 
     Equals summatory(convolve_id(a), x) by exchanging the order of summation.
+    With k = floor(x), floor(x/d) = floor(k/d) takes one value m on each block
+    of d in [lo, k // (k // lo)], so the sum runs over the O(sqrt(x)) blocks,
+    weighting m(m+1)/2 by the block's prefix-sum difference of a.
     """
     x = Fraction(x)
     if x < 0 or x > a.N:
         raise DomainError(f"evaluation point {x} outside 0..{a.N}")
-    total = GaussianRational(0)
-    for d in range(1, math.floor(x) + 1):
-        m = _floor_div(x, d)
-        total = total + as_gaussian(a.value(d)) * Fraction(m * (m + 1), 2)
-    return total
+    k = math.floor(x)
+    total = below = 0
+    lo = 1
+    while lo <= k:
+        m = k // lo
+        hi = k // m
+        upto = a.prefix_sum(hi)
+        total = total + (upto - below) * (m * (m + 1) // 2)
+        below = upto
+        lo = hi + 1
+    return as_gaussian(total)
 
 
 def floor_sum(a: ArithSequence, x) -> GaussianRational:

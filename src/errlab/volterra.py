@@ -36,6 +36,7 @@ __all__ = [
     "solution_family",
     "residual",
     "remainder_integral_residual",
+    "homogeneous_function",
     "homogeneous_residual",
     "resolvent_function",
     "resolvent_apply",
@@ -155,11 +156,20 @@ def remainder_integral_residual(case: VolterraCase, x,
     return r + h.integrate(x, "1")
 
 
-def homogeneous_residual(A, x) -> ConstLinear:
+def homogeneous_function(A, X) -> PiecewiseLaurent:
+    """G(t) = A t on [0, max(X, 1)], with a right limit at every integer."""
+    end = max(Fraction(X), Fraction(1))
+    c = ConstLinear(as_gaussian(A))
+    return PiecewiseLaurent(end, [{1: c} for _ in range(math.floor(end) + 1)])
+
+
+def homogeneous_residual(A, x, G: Optional[PiecewiseLaurent] = None) -> ConstLinear:
     """Residual of G(x) = A x in G(x) - integral_0^x G(t)/t dt = 0.
 
     Always exactly zero; exercised as a regression guard on the kernel
-    integration path.
+    integration path.  A prebuilt G = homogeneous_function(A, X) with X >= x
+    may be passed to amortize construction over a grid; without one, G is
+    built over [0, max(x, 1)].
     """
     x = Fraction(x)
     if x < 0:
@@ -167,8 +177,8 @@ def homogeneous_residual(A, x) -> ConstLinear:
     A = as_gaussian(A)
     if x == 0:
         return ConstLinear.zero()
-    end = max(x, Fraction(1))
-    G = PiecewiseLaurent(end, [{1: ConstLinear(A)} for _ in range(math.floor(end) + 1)])
+    if G is None:
+        G = homogeneous_function(A, x)
     return G.eval_at(x, Side.RIGHT) - G.integrate(x, "1/t")
 
 

@@ -40,6 +40,16 @@ def divisor_sum_oracle(a, n: int) -> GaussianRational:
     return total
 
 
+def floor_identity_oracle(a, x) -> GaussianRational:
+    """sum_{d<=x} a(d) * m(m+1)/2 with m = floor(x/d), one term per d."""
+    x = Fraction(x)
+    total = GaussianRational(0)
+    for d in range(1, math.floor(x) + 1):
+        m = math.floor(x / d)
+        total = total + as_gaussian(a.value(d)) * Fraction(m * (m + 1), 2)
+    return total
+
+
 def quadratic_residue_character(q: int):
     """The Legendre symbol table mod an odd prime q, by squaring residues."""
     squares = {(x * x) % q for x in range(1, q)}

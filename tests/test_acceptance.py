@@ -23,7 +23,7 @@ from errlab.sequences import (convolve_id, floor_sum, kronecker_character,
                               mobius_sieve, numeric_constants, summatory,
                               summatory_via_floor_identity, totient_sieve, twist)
 from errlab.volterra import (build_error_term, build_fracpart_series,
-                             homogeneous_residual, make_case,
+                             homogeneous_function, homogeneous_residual, make_case,
                              remainder_integral_residual, residual,
                              resolvent_apply, resolvent_function, solution_family)
 
@@ -81,7 +81,8 @@ def test_criterion_2_remainder_identity_jumps_continuity():
 def test_criterion_3_homogeneous_and_uniqueness_surrogate():
     homog_ok = True
     for A in (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)):
-        homog_ok = homog_ok and all(homogeneous_residual(A, x).is_zero()
+        G = homogeneous_function(A, X_MAIN)
+        homog_ok = homog_ok and all(homogeneous_residual(A, x, G=G).is_zero()
                                     for x in GRID_MAIN)
 
     mu = mobius_sieve(X_MAIN)

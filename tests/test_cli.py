@@ -2,10 +2,12 @@
 
 import csv
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 
+from errlab import cli
 from errlab.cli import main
 from errlab.piecewise import monomial
 from errlab.sequences import convolve_id, mobius_sieve, read_sequence_csv, totient_sieve
@@ -144,6 +146,26 @@ class TestVerify:
         assert code == 2
         assert "X = 1/3" in err
 
+    @pytest.mark.parametrize("argv", [["--seq", "mu", "--X", "5/2"],
+                                      ["--seq", "mu_chi", "--D", "-3", "--X", "7/2"]])
+    def test_non_integer_domain_end(self, argv, tmp_path, capsys):
+        out = tmp_path / "rep.csv"
+        code, _, _ = run(["verify"] + argv + ["-o", str(out)], capsys)
+        assert code == 0
+        rows = rows_of(out)[1:]
+        assert rows and all(r[3] == "true" for r in rows)
+        # the default grid k/3 stops at the last point below X
+        top = math.floor(3 * Fraction(argv[-1]))
+        assert max(Fraction(r[1]) for r in rows) == Fraction(top, 3)
+
+    def test_internal_error_exits_4(self, monkeypatch, capsys):
+        def crash(cfg):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(cli._DISPATCH, "verify", crash)
+        code, _, err = run(["verify", "--seq", "mu", "--X", "5"], capsys)
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "error: internal: RuntimeError: boom" in err
+
 
 class TestTable:
     def test_row_count_and_modes(self, tmp_path, capsys):
@@ -192,6 +214,17 @@ class TestTable:
         code, _, err = run(["table", "--seq", "mu", "--X", "1/2"], capsys)
         assert code == 2
         assert "X = 1/2" in err
+
+    @pytest.mark.parametrize("argv", [["--seq", "mu", "--X", "5/2"],
+                                      ["--seq", "mu_chi", "--D", "-3", "--X", "7/2"]])
+    def test_non_integer_domain_end(self, argv, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code, _, _ = run(["table"] + argv + ["-o", str(out)], capsys)
+        assert code == 0
+        rows = rows_of(out)
+        top = math.floor(3 * Fraction(argv[-1]))
+        assert len(rows) == 1 + top + 1
+        assert Fraction(rows[-1][0]) == Fraction(top, 3)
 
     def test_file_sequence_rejected(self, tmp_path, capsys):
         seq = tmp_path / "s.csv"

@@ -7,9 +7,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import (divisor_sum_oracle, mobius_oracle, quadratic_residue_character,
-                      totient_oracle)
+from conftest import (divisor_sum_oracle, floor_identity_oracle, mobius_oracle,
+                      quadratic_residue_character, totient_oracle)
 from errlab.errors import (CapacityError, DomainError, FormatError, PrecisionError,
                            UncertifiableSeriesError)
 from errlab.exactnum import GaussianRational, as_gaussian
@@ -189,6 +190,49 @@ class TestSummatory:
             for seq, listed in zip(seqs, lists):
                 assert floor_sum(seq, x) == floor_sum(listed, x), x
         assert large > 50
+
+
+def _points(n_max):
+    """A sequence length N and a rational x in [0, N], by numerator and denominator."""
+    return st.integers(1, n_max).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 12).flatmap(
+            lambda q: st.builds(Fraction, st.integers(0, n * q), st.just(q)))))
+
+
+_values = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    st.builds(GaussianRational,
+              st.fractions(min_value=-5, max_value=5, max_denominator=7),
+              st.fractions(min_value=-5, max_value=5, max_denominator=7)))
+
+
+class TestFloorIdentityOracle:
+    """The blocked floor identity against the one-term-per-d oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sieve=st.sampled_from([mobius_sieve, totient_sieve]), point=_points(120))
+    @example(sieve=mobius_sieve, point=(120, Fraction(120)))
+    @example(sieve=totient_sieve, point=(97, Fraction(97)))
+    @example(sieve=mobius_sieve, point=(5, Fraction(2, 3)))
+    @example(sieve=totient_sieve, point=(30, Fraction(59, 2)))
+    def test_int_arrays(self, sieve, point):
+        n, x = point
+        seq = sieve(n)
+        listed = ArithSequence("list", [seq.value(d) for d in range(1, n + 1)])
+        expect = floor_identity_oracle(seq, x)
+        assert summatory_via_floor_identity(seq, x) == expect
+        assert summatory_via_floor_identity(listed, x) == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(_values, min_size=1, max_size=60), data=st.data())
+    def test_lists(self, values, data):
+        n = len(values)
+        q = data.draw(st.integers(1, 12), label="denominator")
+        x = data.draw(st.sampled_from([Fraction(n), Fraction(1, q + 1)])
+                      | st.builds(Fraction, st.integers(0, n * q), st.just(q)), label="x")
+        seq = ArithSequence("list", values)
+        assert summatory_via_floor_identity(seq, x) == floor_identity_oracle(seq, x)
 
 
 class TestNumericConstants:

@@ -11,7 +11,7 @@ from errlab.piecewise import PiecewiseLaurent, Side, monomial
 from errlab.sequences import (ArithSequence, convolve_id, kronecker_character,
                               mobius_sieve, twist, write_sequence_csv)
 from errlab.volterra import (build_error_term, build_fracpart_series,
-                             homogeneous_residual, make_case,
+                             homogeneous_function, homogeneous_residual, make_case,
                              remainder_integral_residual, residual, resolvent_apply,
                              resolvent_function, solution_family)
 
@@ -181,6 +181,37 @@ class TestHomogeneous:
                                      (0, Fraction(22, 7)), (0, 0)])
     def test_zero(self, A, x):
         assert homogeneous_residual(A, x).is_zero()
+
+
+class TestHomogeneousFunction:
+    A_VALUES = (0, 1, GaussianRational(0, 1), GaussianRational(Fraction(3, 2), Fraction(-1, 2)))
+
+    @pytest.mark.parametrize("A", A_VALUES)
+    def test_prebuilt_matches_fresh(self, A):
+        G = homogeneous_function(A, 12)
+        for x in GRID_THIRDS:
+            expect = ConstLinear(as_gaussian(A) * x)
+            assert G.eval_at(x, Side.RIGHT) == expect, x
+            assert G.integrate(x, "1/t") == expect, x
+            got = homogeneous_residual(A, x, G=G)
+            assert got.is_zero() and got == homogeneous_residual(A, x), x
+
+    def test_prebuilt_g_is_used(self):
+        # t^2 is not homogeneous: x^2 - x^2/2 remains
+        x = Fraction(7, 3)
+        assert homogeneous_residual(1, x, G=monomial(12, 2)) == ConstLinear.scalar(x * x / 2)
+
+    def test_domain_below_one(self):
+        G = homogeneous_function(1, Fraction(1, 3))
+        assert G.X == 1 and G.npieces == 2
+        assert homogeneous_residual(1, 1, G=G).is_zero()
+        assert homogeneous_residual(1, Fraction(1, 4), G=G).is_zero()
+
+    def test_point_beyond_prebuilt_domain(self):
+        G = homogeneous_function(1, 12)
+        assert homogeneous_residual(1, 12, G=G).is_zero()
+        with pytest.raises(DomainError):
+            homogeneous_residual(1, Fraction(37, 3), G=G)
 
 
 class TestResolvent:
