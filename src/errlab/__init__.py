@@ -23,6 +23,7 @@ from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
                        resolvent_function, solution_family)
 from .decomposition import (DecompositionCase, build_fracsquare_series, decompose,
                             generic_case, growth_max_ratio, sawtooth, split_at,
-                            trivial_character_relations, twisted_case, untwisted_case)
+                            trivial_character_relations, twisted_case, untwisted_case,
+                            verify_suites)
 
 __version__ = "0.1.0"

@@ -10,30 +10,27 @@ Exact mode is the default everywhere; numeric mode is opt-in.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
-from .decomposition import (FROZEN_GROWTH_MAX, build_fracpart_series, decompose,
-                            growth_max_ratio, split_at, trivial_character_relations,
-                            twisted_case, untwisted_case)
+from .decomposition import (FROZEN_GROWTH_MAX, growth_max_ratio, split_at,
+                            twisted_case, untwisted_case, verify_suites)
 from .errors import (CapacityError, DivergentAtZeroError, DomainError, FormatError,
                      LogCaseError, PrecisionError, UncertifiableSeriesError)
-from .exactnum import ConstLinear, GaussianRational, as_gaussian, parse_rational
+from .exactnum import GaussianRational, parse_rational
 from .piecewise import PiecewiseLaurent, Side
 from .report import VerificationReport
 from .sequences import (MAX_SIEVE, ArithSequence, CharacterSpec,
                         kronecker_character, mobius_sieve, numeric_constants,
-                        read_character_csv, read_sequence_csv, summatory,
-                        summatory_via_floor_identity, twist, write_character_csv,
+                        read_character_csv, read_sequence_csv, twist, write_character_csv,
                         write_sequence_csv)
-from .volterra import (build_error_term, homogeneous_function, homogeneous_residual,
-                       make_case, remainder_integral_residual, residual,
-                       resolvent_apply, resolvent_function, solution_family)
+from .volterra import make_case, residual, resolvent_function
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -106,13 +103,8 @@ def _parse_args(argv) -> RunConfig:
     pg.add_argument("--emit", choices=["sequence", "character"], default="sequence")
 
     ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    cfg.seq = ns.seq
-    cfg.discriminant = ns.D
-    cfg.chi_file = ns.chi_file
-    cfg.mode = ns.mode
-    cfg.precision_target = ns.precision
-    cfg.output = ns.output
+    cfg = RunConfig(command=ns.command, seq=ns.seq, discriminant=ns.D, chi_file=ns.chi_file,
+                    mode=ns.mode, precision_target=ns.precision, output=ns.output)
     if hasattr(ns, "X"):
         if ns.X is not None:
             cfg.X = parse_rational(ns.X)
@@ -120,14 +112,10 @@ def _parse_args(argv) -> RunConfig:
         cfg.grid_denominator = ns.denom
     if getattr(ns, "A", None):
         cfg.A_list = [GaussianRational.from_text(s) for s in ns.A]
-    if hasattr(ns, "b_file"):
-        cfg.b_file = ns.b_file
-    if hasattr(ns, "N"):
-        cfg.sieve_n = ns.N
-    if hasattr(ns, "emit"):
-        cfg.emit = ns.emit
-    if hasattr(ns, "input"):
-        cfg.input_path = ns.input
+    for key, attr in (("b_file", "b_file"), ("N", "sieve_n"), ("emit", "emit"),
+                      ("input", "input_path")):
+        if hasattr(ns, key):   # options of one subcommand only
+            setattr(cfg, attr, getattr(ns, key))
     if cfg.grid_denominator < 1:
         raise FormatError("grid denominator must be >= 1")
     if cfg.precision_target <= 0:
@@ -178,15 +166,23 @@ def _load_to_X(cfg: RunConfig):
     return _load_sequences(cfg, math.ceil(cfg.X))
 
 
-def _grid(X: Fraction, denom: int, start: int = 1):
-    top = math.floor(X * denom)
-    return [Fraction(k, denom) for k in range(start, top + 1)]
-
-
-def _open_out(cfg: RunConfig):
-    if cfg.output:
-        return open(cfg.output, "w", newline="")
+def _split_for(kind: str, chi, case):
+    """The split of a --seq kind: plain for mu, twisted for mu_chi, else None."""
+    if kind == "mu":
+        return untwisted_case(case)
+    if kind == "mu_chi":
+        return twisted_case(chi, case)
     return None
+
+
+@contextlib.contextmanager
+def _output(cfg: RunConfig):
+    """The -o file, or stdout when none is given."""
+    if not cfg.output:
+        yield sys.stdout
+        return
+    with open(cfg.output, "w", newline="") as fh:
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -197,84 +193,21 @@ def _run_verify(cfg: RunConfig) -> VerificationReport:
     a, b_override, chi, kind = _load_to_X(cfg)
     if not cfg.x_explicit and cfg.X > a.N:
         cfg.X = Fraction(a.N)
-    report = VerificationReport()
-    grid = _grid(cfg.X, cfg.grid_denominator)
-
-    case0 = make_case(a, cfg.X, 0, b=b_override)
-    E = build_error_term(case0)
-    h = build_fracpart_series(case0)
-
-    for A in cfg.A_list:
-        F = solution_family(replace(case0, A=A))
-        tag = f"volterra[A={A.to_text()}]"
-        for x in grid:
-            report.add(tag, x, residual(F, E, x))
-
-    for x in grid:
-        report.add("remainder_integral", x,
-                   remainder_integral_residual(case0, x, E=E, h=h))
-
-    for A in (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)):
-        tag = f"homogeneous[A={A.to_text()}]"
-        G = homogeneous_function(A, cfg.X)
-        for x in grid:
-            report.add(tag, x, homogeneous_residual(A, x, G=G))
-
-    resolvent = resolvent_function(E, 0)
-    for x in grid:
-        report.add("resolvent", x, residual(resolvent, E, x))
-    c_ref = (resolvent.eval_at(grid[0], Side.RIGHT)
-             - h.eval_at(grid[0], Side.RIGHT) * grid[0]) / grid[0]
-    for x in grid:
-        c_x = (resolvent.eval_at(x, Side.RIGHT) - h.eval_at(x, Side.RIGHT) * x) / x
-        report.add("uniqueness_surrogate", x, c_x - c_ref)
-
-    for x in grid:
-        report.add("floor_summatory", x,
-                   ConstLinear(summatory_via_floor_identity(a, x) - summatory(case0.b, x)))
-
-    for n in range(1, math.floor(cfg.X) + 1):
-        jump = h.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.LEFT)
-        expect = ConstLinear(as_gaussian(case0.b.value(n)) / n)
-        report.add(f"jump[{n}]", n, jump - expect)
-        r_right = E.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.RIGHT) * n
-        r_left = E.eval_at(n, Side.LEFT) - h.eval_at(n, Side.LEFT) * n
-        report.add(f"remainder_continuity[{n}]", n, r_right - r_left)
-
-    if kind == "mu":
-        dc = untwisted_case(case0)
-        for x in _grid(cfg.X, cfg.grid_denominator, start=cfg.grid_denominator):
-            report.add("decomposition", x, decompose(dc, x)[2])
-        trivX = min(cfg.X, Fraction(100))
-        report.extend(trivial_character_relations(trivX, cfg.grid_denominator))
-    elif kind == "mu_chi":
-        dc = twisted_case(chi, case0)
-        report.add("decomposition", 0, decompose(dc, 0)[2])
-        for x in grid:
-            report.add("decomposition", x, decompose(dc, x)[2])
-
-    if cfg.mode == "numeric":
-        key = None
-        if kind == "mu":
-            key = "mu"
-        elif kind == "mu_chi" and cfg.discriminant == -3:
-            key = "mu_chi_-3"
-        if key is not None:
-            got = growth_max_ratio(chi)
-            diff = got - FROZEN_GROWTH_MAX[key]
-            report.add(f"growth[{key}]", 0, diff, exact_zero=(diff == 0.0))
-
+    case = make_case(a, cfg.X, 0, b=b_override)
+    report = verify_suites(case, cfg.grid_denominator, cfg.A_list,
+                           _split_for(kind, chi, case))
+    # the frozen maxima cover mu and mu_chi at D = -3
+    key = kind if kind == "mu" else f"{kind}_{cfg.discriminant}"
+    if cfg.mode == "numeric" and key in FROZEN_GROWTH_MAX:
+        diff = growth_max_ratio(chi) - FROZEN_GROWTH_MAX[key]
+        report.add(f"growth[{key}]", 0, diff, exact_zero=(diff == 0.0))
     return report
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     report = _run_verify(cfg)
-    out = _open_out(cfg)
-    try:
-        report.write_csv(out if out else sys.stdout)
-    finally:
-        if out:
-            out.close()
+    with _output(cfg) as fh:
+        report.write_csv(fh)
     fail = report.first_failure()
     if fail is None:
         print(f"PASS: {len(report)} identities verified", file=sys.stderr)
@@ -304,15 +237,12 @@ def cmd_table(cfg: RunConfig) -> int:
     if kind == "file":
         raise FormatError("table supports --seq mu and mu_chi (the split is "
                           "defined for those cases)")
-    case = make_case(a, cfg.X)
-    dc = untwisted_case(case) if chi is None else twisted_case(chi, case)
+    dc = _split_for(kind, chi, make_case(a, cfg.X))
     numeric = cfg.mode == "numeric"
     if numeric:
         a2, a1, (b2, b1) = _constants_for_table(cfg, chi)
 
-    out = _open_out(cfg)
-    fh = out if out else sys.stdout
-    try:
+    with _output(cfg) as fh:
         if numeric:
             fh.write(f"# a2 = {a2.real!r} +/- {b2!r}\n")
             fh.write(f"# a1 = {a1.real!r} +/- {b1!r}\n")
@@ -326,9 +256,6 @@ def cmd_table(cfg: RunConfig) -> int:
                 writer.writerow([repr(v) for v in row])
             else:
                 writer.writerow([str(x)] + [v.to_text() for v in values])
-    finally:
-        if out:
-            out.close()
     return EXIT_PASS
 
 
@@ -348,10 +275,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     if numeric:
         a2 = a1 = 0.0  # user data has no attached series constants
 
-    out = _open_out(cfg)
-    fh = out if out else sys.stdout
     ok = True
-    try:
+    with _output(cfg) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "F", "residual", "exact_zero"])
         for k in range(1, math.floor(end * cfg.grid_denominator) + 1):
@@ -366,9 +291,6 @@ def cmd_solve(cfg: RunConfig) -> int:
             else:
                 writer.writerow([str(x), val.to_text(), res.to_text(),
                                  "true" if zero else "false"])
-    finally:
-        if out:
-            out.close()
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -381,21 +303,13 @@ def cmd_sieve(cfg: RunConfig) -> int:
     if cfg.emit == "character":
         if chi is None:
             raise FormatError("--emit character requires --seq mu_chi with --D or --chi-file")
-        if cfg.output:
-            write_character_csv(cfg.output, chi)
-        else:
-            sys.stdout.write("residue,value\n")
-            for r, v in enumerate(chi.table):
-                sys.stdout.write(f"{r},{v}\n")
+        with _output(cfg) as fh:
+            write_character_csv(fh, chi)
         return EXIT_PASS
     if kind == "file":
         a = ArithSequence(a.name, [a.value(n) for n in range(1, min(a.N, cfg.sieve_n) + 1)])
-    if cfg.output:
-        write_sequence_csv(cfg.output, a)
-    else:
-        sys.stdout.write("n,value\n")
-        for n in range(1, a.N + 1):
-            sys.stdout.write(f"{n},{as_gaussian(a.value(n)).to_text()}\n")
+    with _output(cfg) as fh:
+        write_sequence_csv(fh, a)
     return EXIT_PASS
 
 

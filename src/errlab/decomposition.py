@@ -28,14 +28,17 @@ Every constructor here takes a VolterraCase from volterra.make_case, so the
 sequence is sieved and convolved once, by the caller; the case's ``b`` feeds
 the error term and its ``b_true`` feeds the series.  split_at reads E, E_AR
 and E_AN at a point under the one breakpoint convention of both splits.
+
+verify_suites runs every exact identity suite of a case on a grid; the CLI's
+``verify`` and the acceptance gate both read its report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,9 +46,12 @@ from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational, as_gaussian
 from .piecewise import PiecewiseLaurent, Side
 from .report import VerificationReport
-from .sequences import (ArithSequence, CharacterSpec, convolve_id, floor_sum,
-                        mobius_sieve, totient_sieve, twist)
-from .volterra import VolterraCase, build_error_term, build_fracpart_series, make_case
+from .sequences import (ArithSequence, CharacterSpec, _partial_a2, convolve_id, floor_sum,
+                        mobius_sieve, summatory, summatory_via_floor_identity, twist)
+from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
+                       homogeneous_function, homogeneous_residual, make_case,
+                       remainder_integral_residual, residual, resolvent_function,
+                       solution_family)
 
 __all__ = [
     "sawtooth",
@@ -57,6 +63,7 @@ __all__ = [
     "split_at",
     "decompose",
     "trivial_character_relations",
+    "verify_suites",
     "growth_max_ratio",
     "GROWTH_SAMPLE_STEP",
     "GROWTH_SAMPLE_END",
@@ -209,6 +216,11 @@ def split_at(case: DecompositionCase, x):
     return case.error.eval_at(x, side), e_ar, e_an
 
 
+def _split_start(case: DecompositionCase) -> int:
+    """Where a split is claimed from: the plain one misses E by 1/2 below 1."""
+    return 1 if case.kind == "untwisted" else 0
+
+
 def decompose(case: DecompositionCase, x):
     """Exact (E_AR, E_AN, residual) at x; residual = E - E_AR - E_AN.
 
@@ -218,10 +230,10 @@ def decompose(case: DecompositionCase, x):
     (None, None) for the rest.
     """
     x = Fraction(x)
-    if case.kind == "untwisted" and x < 1:
-        raise DomainError("the plain decomposition is stated for x >= 1")
-    if x < 0 or x > case.X:
-        raise DomainError(f"point {x} outside [0, {case.X}]")
+    start = _split_start(case)
+    if x < start or x > case.X:
+        raise DomainError(f"point {x} outside [{start}, {case.X}], "
+                          f"where the {case.kind} decomposition is stated")
     e, e_ar, e_an = split_at(case, x)
     if e_an is None:
         return e_ar, None, None
@@ -255,6 +267,81 @@ def trivial_character_relations(X, grid_denominator: int = 3) -> VerificationRep
 
 
 # ---------------------------------------------------------------------------
+# the identity suites
+# ---------------------------------------------------------------------------
+
+def verify_suites(case: VolterraCase, grid_denominator: int,
+                  A_list: Sequence[GaussianRational],
+                  split: Optional[DecompositionCase] = None) -> VerificationReport:
+    """Every exact identity suite of a case on the grid k/grid_denominator of
+    (0, X], in this order: ``volterra[A=..]`` per A in A_list,
+    ``remainder_integral``, ``homogeneous[A=..]`` for A in {0, 1, i},
+    ``resolvent``, ``uniqueness_surrogate``, ``floor_summatory``, then
+    ``jump[n]`` and ``remainder_continuity[n]`` per integer n <= X.  A split
+    (the plain or twisted case of the same sequence, or None) adds
+    ``decomposition`` wherever decompose claims it, and the plain one the
+    trivial-character relations on [1, min(X, 100)].  ``case.b`` may be an
+    override, which the suites expose; ``case.A`` is not used.
+    """
+    X = case.X
+    points = [Fraction(k, grid_denominator)
+              for k in range(math.floor(X * grid_denominator) + 1)]
+    grid = points[1:]
+    if not grid:
+        raise DomainError(f"the grid k/{grid_denominator} on (0, {X}] is empty")
+    report = VerificationReport()
+    E = build_error_term(case)
+    h = build_fracpart_series(case)
+
+    for A in A_list:
+        F = solution_family(replace(case, A=A))
+        tag = f"volterra[A={A.to_text()}]"
+        for x in grid:
+            report.add(tag, x, residual(F, E, x))
+
+    for x in grid:
+        report.add("remainder_integral", x,
+                   remainder_integral_residual(case, x, E=E, h=h))
+
+    for A in (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)):
+        tag = f"homogeneous[A={A.to_text()}]"
+        G = homogeneous_function(A, X)
+        for x in grid:
+            report.add(tag, x, homogeneous_residual(A, x, G=G))
+
+    resolvent = resolvent_function(E, 0)
+    for x in grid:
+        report.add("resolvent", x, residual(resolvent, E, x))
+    c_ref = (resolvent.eval_at(grid[0], Side.RIGHT)
+             - h.eval_at(grid[0], Side.RIGHT) * grid[0]) / grid[0]
+    for x in grid:
+        c_x = (resolvent.eval_at(x, Side.RIGHT) - h.eval_at(x, Side.RIGHT) * x) / x
+        report.add("uniqueness_surrogate", x, c_x - c_ref)
+
+    for x in grid:
+        report.add("floor_summatory", x,
+                   ConstLinear(summatory_via_floor_identity(case.a, x) - summatory(case.b, x)))
+
+    for n in range(1, math.floor(X) + 1):
+        jump = h.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.LEFT)
+        expect = ConstLinear(as_gaussian(case.b.value(n)) / n)
+        report.add(f"jump[{n}]", n, jump - expect)
+        r_right = E.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.RIGHT) * n
+        r_left = E.eval_at(n, Side.LEFT) - h.eval_at(n, Side.LEFT) * n
+        report.add(f"remainder_continuity[{n}]", n, r_right - r_left)
+
+    if split is not None and split.analytic_part is not None:
+        start = _split_start(split)
+        for x in points:
+            if x >= start:
+                report.add("decomposition", x, decompose(split, x)[2])
+        if split.kind == "untwisted":
+            report.extend(trivial_character_relations(min(X, Fraction(100)),
+                                                      grid_denominator))
+    return report
+
+
+# ---------------------------------------------------------------------------
 # numeric growth statistic
 # ---------------------------------------------------------------------------
 
@@ -280,15 +367,12 @@ def growth_max_ratio(chi: Optional[CharacterSpec] = None,
     ascending order, and the untwisted/twisted conventions are the
     right-continuous and midpoint values.
     """
-    if chi is None:
-        a = mobius_sieve(end)
-        b = totient_sieve(end)
-    else:
-        a = twist(mobius_sieve(end), chi)
-        b = convolve_id(a)
-    arr = b.int_array()
+    a = mobius_sieve(end)
+    if chi is not None:
+        a = twist(a, chi)
+    arr = convolve_id(a).int_array()
     csum = np.cumsum(arr[1:], dtype=np.int64)
-    a2 = math.fsum(int(v) / (n * n) for n, v in enumerate(a.int_array()[1:], start=1))
+    a2 = _partial_a2(a).real
     best = 0.0
     for x in range(step, end + 1, step):
         s = float(csum[x - 1])

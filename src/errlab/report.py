@@ -1,4 +1,5 @@
-"""Per-case verification records and their CSV form."""
+"""Per-case verification records, and the CSV writer that takes a path or an
+open text stream."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import List, Optional, Union
 
 from .exactnum import ConstLinear
 
-__all__ = ["ReportRow", "VerificationReport"]
+__all__ = ["ReportRow", "VerificationReport", "write_csv_rows"]
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,20 @@ class VerificationReport:
     def write_csv(self, target) -> None:
         """Write `identity,x,residual,exact_zero` rows; target is a path or
         an open text stream."""
-        if hasattr(target, "write"):
-            self._write(target)
-        else:
-            with Path(target).open("w", newline="") as fh:
-                self._write(fh)
-
-    def _write(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["identity", "x", "residual", "exact_zero"])
-        for r in self.rows:
+        def row(r):
             res = r.residual.to_text() if isinstance(r.residual, ConstLinear) else repr(r.residual)
-            writer.writerow([r.identity, str(r.x), res, "true" if r.exact_zero else "false"])
+            return [r.identity, str(r.x), res, "true" if r.exact_zero else "false"]
+        write_csv_rows(target, ["identity", "x", "residual", "exact_zero"], map(row, self.rows))
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+def write_csv_rows(target, header, rows) -> None:
+    """Write a header and rows to target, a path or an open text stream."""
+    if not hasattr(target, "write"):
+        with Path(target).open("w", newline="") as fh:
+            return write_csv_rows(fh, header, rows)
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)

@@ -28,6 +28,7 @@ from . import lfunc
 from .errors import (CapacityError, DomainError, FormatError, PrecisionError,
                      UncertifiableSeriesError)
 from .exactnum import GaussianRational, as_gaussian
+from .report import write_csv_rows
 
 __all__ = [
     "ArithSequence",
@@ -451,12 +452,10 @@ def read_sequence_csv(path):
     return a, b
 
 
-def write_sequence_csv(path, a: ArithSequence) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "value"])
-        for n in range(1, a.N + 1):
-            writer.writerow([n, as_gaussian(a.value(n)).to_text()])
+def write_sequence_csv(target, a: ArithSequence) -> None:
+    """``n,value`` rows; target is a path or an open text stream."""
+    write_csv_rows(target, ["n", "value"],
+               ([n, as_gaussian(a.value(n)).to_text()] for n in range(1, a.N + 1)))
 
 
 def read_character_csv(path) -> CharacterSpec:
@@ -482,9 +481,6 @@ def read_character_csv(path) -> CharacterSpec:
     return chi
 
 
-def write_character_csv(path, chi: CharacterSpec) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["residue", "value"])
-        for r, v in enumerate(chi.table):
-            writer.writerow([r, v])
+def write_character_csv(target, chi: CharacterSpec) -> None:
+    """``residue,value`` rows; target is a path or an open text stream."""
+    write_csv_rows(target, ["residue", "value"], enumerate(chi.table))

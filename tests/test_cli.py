@@ -158,6 +158,13 @@ class TestVerify:
         top = math.floor(3 * Fraction(argv[-1]))
         assert max(Fraction(r[1]) for r in rows) == Fraction(top, 3)
 
+    def test_empty_grid_exits_2(self, tmp_path, capsys):
+        seq = tmp_path / "s.csv"
+        seq.write_text("n,value\n1,1/1\n2,-1/1\n")
+        code, _, err = run(["verify", "--seq", f"file:{seq}", "--X", "1/5"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "k/3" in err and "1/5" in err
+
     def test_internal_error_exits_4(self, monkeypatch, capsys):
         def crash(cfg):
             raise RuntimeError("boom")
@@ -303,3 +310,13 @@ class TestSieve:
         assert code == 0
         assert out.splitlines()[0] == "n,value"
         assert out.splitlines()[2] == "2,-1/1"
+
+    @pytest.mark.parametrize("argv", [["--seq", "mu", "--N", "30"],
+                                      ["--seq", "mu_chi", "--D", "-3", "--N", "30"],
+                                      ["--seq", "mu_chi", "--D", "-4", "--emit", "character"]])
+    def test_stdout_bytes_equal_file_bytes(self, argv, tmp_path, capsysbinary):
+        assert main(["sieve"] + argv) == 0
+        printed = capsysbinary.readouterr().out
+        out = tmp_path / "s.csv"
+        assert main(["sieve"] + argv + ["-o", str(out)]) == 0
+        assert printed == out.read_bytes()

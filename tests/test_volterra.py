@@ -7,9 +7,9 @@ import pytest
 from conftest import divisor_sum_oracle, fracpart_series_finite, partial_quadratic_sum
 from errlab.errors import DomainError, LogCaseError
 from errlab.exactnum import ConstLinear, GaussianRational, as_gaussian
-from errlab.piecewise import PiecewiseLaurent, Side, monomial
+from errlab.piecewise import Side, monomial
 from errlab.sequences import (ArithSequence, convolve_id, kronecker_character,
-                              mobius_sieve, twist, write_sequence_csv)
+                              mobius_sieve, twist)
 from errlab.volterra import (build_error_term, build_fracpart_series,
                              homogeneous_function, homogeneous_residual, make_case,
                              remainder_integral_residual, residual, resolvent_apply,
