@@ -49,7 +49,7 @@ from .report import VerificationReport
 from .sequences import (ArithSequence, CharacterSpec, _partial_a2, convolve_id, floor_sum,
                         mobius_sieve, summatory, summatory_via_floor_identity, twist)
 from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
-                       homogeneous_function, homogeneous_residual, make_case,
+                       homogeneous_function, homogeneous_residual,
                        remainder_integral_residual, residual, resolvent_function,
                        solution_family)
 
@@ -240,20 +240,21 @@ def decompose(case: DecompositionCase, x):
     return e_ar, e_an, e - e_ar - e_an
 
 
-def trivial_character_relations(X, grid_denominator: int = 3) -> VerificationReport:
+def trivial_character_relations(case: VolterraCase,
+                                grid_denominator: int = 3) -> VerificationReport:
     """Exact checks that the all-ones twist collapses to the plain objects.
 
-    With the Moebius declared A1 = 0 folded in, f(x, triv) - f(x) must vanish
-    and g(x, triv) - g(x) must equal 1 at every non-integer grid point of
-    [1, X]; alongside, sum_{d<=x} mu(d) floor(x/d) = 1 on the same grid.
+    ``case`` is a case of the Moebius function; its sequence and ``b_true``
+    are read on [1, case.X].  With the Moebius declared A1 = 0 folded in,
+    f(x, triv) - f(x) must vanish and g(x, triv) - g(x) must equal 1 at every
+    non-integer grid point of [1, X]; alongside,
+    sum_{d<=x} mu(d) floor(x/d) = 1 on the same grid.
     """
-    X = Fraction(X)
-    a = mobius_sieve(math.ceil(X))
-    vc = make_case(a, X, 0)
-    f_plain = build_fracpart_series(vc)
+    X, a = case.X, case.a
+    f_plain = build_fracpart_series(case)
     f_triv = _plus_half_a1(f_plain, a)
-    g_plain = build_fracsquare_series(vc)
-    g_triv = build_fracsquare_series(vc, twisted=True)
+    g_plain = build_fracsquare_series(case)
+    g_triv = build_fracsquare_series(case, twisted=True)
     one = ConstLinear.scalar(1)
     report = VerificationReport()
     for k in range(grid_denominator, math.floor(X * grid_denominator) + 1):
@@ -336,8 +337,8 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
             if x >= start:
                 report.add("decomposition", x, decompose(split, x)[2])
         if split.kind == "untwisted":
-            report.extend(trivial_character_relations(min(X, Fraction(100)),
-                                                      grid_denominator))
+            report.extend(trivial_character_relations(
+                replace(case, X=min(X, Fraction(100))), grid_denominator))
     return report
 
 

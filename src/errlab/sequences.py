@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -171,16 +171,25 @@ def _prime_mask(n: int) -> np.ndarray:
 
 
 def mobius_sieve(n: int) -> ArithSequence:
-    """mu(1..n); squarefree sign by parity of prime factors, 0 otherwise."""
+    """mu(1..n); squarefree sign by parity of prime factors, 0 otherwise.
+
+    Only the primes p <= sqrt(n) are sieved: each flips the sign of its
+    multiples, zeroes the multiples of p^2 and joins the product of the
+    sieved primes of each multiple.  A squarefree m whose sieved primes
+    multiply to less than m has exactly one more prime factor, above
+    sqrt(n), and takes one more sign flip.
+    """
     _check_capacity(n)
-    mu = np.ones(n + 1, dtype=np.int64)
-    mu[0] = 0
-    primes = np.nonzero(_prime_mask(n))[0]
-    for p in primes:
+    mu = np.ones(n + 1, dtype=np.int8)
+    # int32 holds the product of the distinct primes <= sqrt(n) dividing m,
+    # which is at most m <= MAX_SIEVE < 2**31
+    prod = np.ones(n + 1, dtype=np.int32)
+    for p in np.flatnonzero(_prime_mask(math.isqrt(n))).tolist():
         mu[p::p] *= -1
-        sq = p * p
-        if sq <= n:
-            mu[sq::sq] = 0
+        prod[p::p] *= p
+        mu[p * p::p * p] = 0
+    mu[prod < np.arange(n + 1, dtype=np.int32)] *= -1
+    mu[0] = 0
     return ArithSequence("mu", mu, magnitude_bound=Fraction(1),
                          known_A1=GaussianRational(0))
 
@@ -264,7 +273,8 @@ def twist(a: ArithSequence, chi: CharacterSpec) -> ArithSequence:
     name = f"{a.name}*chi({chi.q})"
     arr = a.int_array()
     if arr is not None:
-        factors = np.asarray(chi.table, dtype=np.int64)[np.arange(a.N + 1) % chi.q]
+        reps = -(-(a.N + 1) // chi.q)
+        factors = np.tile(np.asarray(chi.table, dtype=np.int8), reps)[:a.N + 1]
         return ArithSequence(name, arr * factors, magnitude_bound=a.magnitude_bound)
     vals = [a.value(n) * chi.chi(n) for n in range(1, a.N + 1)]
     return ArithSequence(name, vals, magnitude_bound=a.magnitude_bound)
@@ -347,12 +357,37 @@ def floor_sum(a: ArithSequence, x) -> GaussianRational:
     return total
 
 
+_A2_CHUNK = 1 << 16
+
+
+def _int_a2_terms(arr: np.ndarray):
+    """The floats int(arr[n]) / (n*n) for the n >= 1 with arr[n] != 0, in
+    ascending n, produced _A2_CHUNK at a time so no list of every term is built.
+
+    n*n <= MAX_SIEVE**2 < 2**53 is exact in float64, and so is every value of
+    magnitude <= 2**53; then the numpy quotient is the correctly rounded one
+    that Python's int / int gives.  Larger values take that division itself.
+    """
+    nz = np.flatnonzero(arr[1:])
+    nz += 1
+    exact = -(1 << 53) <= int(arr.min()) and int(arr.max()) <= 1 << 53
+    for i in range(0, nz.size, _A2_CHUNK):
+        k = nz[i:i + _A2_CHUNK]
+        if exact:
+            yield (arr[k] / (k.astype(np.float64) * k)).tolist()
+        else:
+            yield [v / (n * n) for v, n in zip(arr[k].tolist(), k.tolist())]
+
+
 def _partial_a2(a: ArithSequence) -> complex:
-    """Float partial sum of a(n)/n^2 over the stored range, ascending n."""
+    """Float partial sum of a(n)/n^2 over the stored range, ascending n.
+
+    math.fsum is correctly rounded, so dropping the zero terms of an
+    integer array does not change the sum.
+    """
     arr = a.int_array()
     if arr is not None:
-        terms = [int(arr[n]) / (n * n) for n in range(1, a.N + 1)]
-        return complex(math.fsum(terms))
+        return complex(math.fsum(chain.from_iterable(_int_a2_terms(arr))))
     re = []
     im = []
     for n in range(1, a.N + 1):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from errlab.exactnum import GaussianRational, as_gaussian
 
 
@@ -24,6 +26,22 @@ def mobius_oracle(n: int) -> int:
     if n > 1:
         result = -result
     return result
+
+
+def mobius_per_prime_sieve(n: int) -> np.ndarray:
+    """mu(0..n) as int64 (index 0 is 0), sieving with every prime p <= n:
+    flip the sign of the multiples of p, zero the multiples of p^2."""
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in np.flatnonzero(prime).tolist():
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
 
 
 def totient_oracle(n: int) -> int:

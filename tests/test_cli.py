@@ -43,6 +43,10 @@ GOLDEN_OUTPUTS = {
     "table_mu_chi_numeric": (["table", "--seq", "mu_chi", "--D", "-3", "--X", "30",
                               "--mode", "numeric", "--precision", "1e-4"], 0,
                              "c1b1f5ce9160c95d89f7f3abb79491a67ccd4c9364ec01b5310671d53e65a198"),
+    # the bench's table_numeric config: a 10^7 sieve behind the a2 header
+    "table_mu_chi_numeric_1e-7": (["table", "--seq", "mu_chi", "--D", "-3", "--X", "100",
+                                   "--mode", "numeric", "--precision", "1e-7"], 0,
+                                  "290f9c701488fc5a0afaee09dc5f0c778b9ee1b70374a1e3c551f6139c36380f"),
 }
 
 

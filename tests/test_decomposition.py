@@ -220,7 +220,7 @@ class TestDecompose:
 
 class TestTrivialCharacter:
     def test_relations_hold(self):
-        rep = trivial_character_relations(40)
+        rep = trivial_character_relations(case_of(mobius_sieve(40)))
         assert len(rep) > 0 and rep.all_pass
 
     def test_g_relation_is_exactly_one(self):

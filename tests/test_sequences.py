@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (divisor_sum_oracle, floor_identity_oracle, mobius_oracle,
-                      quadratic_residue_character, totient_oracle)
+                      mobius_per_prime_sieve, quadratic_residue_character, totient_oracle)
 from errlab.errors import (CapacityError, DomainError, FormatError, PrecisionError,
                            UncertifiableSeriesError)
 from errlab.exactnum import GaussianRational, as_gaussian
-from errlab.sequences import (ArithSequence, CharacterSpec, convolve_id, floor_sum,
+from errlab.sequences import (MAX_SIEVE, ArithSequence, CharacterSpec, _partial_a2,
+                              convolve_id, floor_sum,
                               is_fundamental_discriminant, kronecker_character,
                               kronecker_symbol, mobius_sieve, numeric_constants,
                               read_character_csv, read_sequence_csv, summatory,
@@ -27,6 +28,23 @@ class TestSieves:
         mu = mobius_sieve(2000)
         for n in range(1, 2001):
             assert mu.value(n) == mobius_oracle(n), n
+
+    def test_mobius_every_small_range(self):
+        # N < 4 sieves no prime; N = p^2 - 1 and p^2 bracket each new sieving prime
+        for N in range(1, 131):
+            mu = mobius_sieve(N)
+            assert mu.N == N
+            assert [mu.value(n) for n in range(1, N + 1)] == \
+                [mobius_oracle(n) for n in range(1, N + 1)], N
+
+    def test_mobius_against_per_prime_sieve(self):
+        N = 10 ** 5
+        assert np.array_equal(mobius_sieve(N).int_array(), mobius_per_prime_sieve(N))
+
+    def test_mobius_prime_product_fits_int32(self):
+        # mobius_sieve keeps the product of the small primes of m <= MAX_SIEVE
+        # in int32; a larger budget would overflow it silently
+        assert MAX_SIEVE < 2 ** 31
 
     def test_mobius_examples(self):
         mu = mobius_sieve(12)
@@ -108,6 +126,16 @@ class TestTwistAndConvolution:
         assert t.value(4) == 0       # mu vanishes on squares
         assert t.magnitude_bound == 1
         assert t.known_A1 is None
+
+    @pytest.mark.parametrize("D", [-3, -4, 5, 8])
+    def test_twist_array_matches_pointwise(self, D):
+        chi = kronecker_character(D)
+        # N + 1 = 101 is a multiple of no modulus here; 96 is one of 3, 4 and 8
+        for a in (mobius_sieve(100), totient_sieve(100), mobius_sieve(95)):
+            t = twist(a, chi)
+            assert t.N == a.N and t.int_array() is not None
+            assert [t.value(n) for n in range(1, a.N + 1)] == \
+                [chi.chi(n) * a.value(n) for n in range(1, a.N + 1)]
 
     def test_convolution_is_totient(self):
         mu = mobius_sieve(500)
@@ -257,6 +285,18 @@ class TestNumericConstants:
         seq = twist(mobius_sieve(10 ** 5), chi)
         _, a1, _ = numeric_constants(seq, chi, precision_target=1e-4)
         assert abs(a1 - 3 * math.sqrt(3) / math.pi) <= 1e-12
+
+    def test_partial_a2_bit_exact(self):
+        mu = mobius_sieve(10 ** 5)
+        seqs = [mu, twist(mu, kronecker_character(-3)), twist(mu, kronecker_character(-4)),
+                totient_sieve(10 ** 5),
+                # values beyond 2**53 are not exact in float64
+                ArithSequence("big", np.array([0, 3, 2 ** 53 + 1, -(2 ** 53) - 1, 7],
+                                              dtype=np.int64))]
+        for seq in seqs:
+            arr = seq.int_array()
+            expect = math.fsum([int(arr[n]) / (n * n) for n in range(1, seq.N + 1)])
+            assert _partial_a2(seq).real.hex() == expect.hex(), seq
 
     def test_missing_bound_errors(self):
         bare = ArithSequence("bare", [1, 2, 3])
