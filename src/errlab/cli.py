@@ -103,6 +103,10 @@ def _parse_args(argv) -> RunConfig:
     pg.add_argument("--emit", choices=["sequence", "character"], default="sequence")
 
     ns = parser.parse_args(argv)
+    if ns.D is not None and ns.chi_file is not None:
+        # the character and the frozen growth row it is checked against
+        # would come from different options
+        raise FormatError("--D and --chi-file are alternatives; pass one of them")
     cfg = RunConfig(command=ns.command, seq=ns.seq, discriminant=ns.D, chi_file=ns.chi_file,
                     mode=ns.mode, precision_target=ns.precision, output=ns.output)
     if hasattr(ns, "X"):

@@ -7,6 +7,18 @@ coefficient comparison: the value is zero exactly when all three coefficients
 vanish.  The basis {1, A2, A1} is closed under addition and scalar
 multiplication but not under general products, and mixed products are a hard
 error rather than a silent approximation.
+
+A form is stored flat and in lowest terms: the six integer numerators of the
+real and imaginary parts of ``c1``, ``cA2`` and ``cA1`` over one shared
+positive denominator that no prime divides together with all six, so equal
+forms are stored identically.  Every operation keeps that invariant.  A sum
+over equal denominators, and a product by a complex scalar, is divided
+through by the gcd of the seven integers.  For a sum over unequal
+denominators and a product by a rational, the operands' invariant confines
+the common factor to the gcd of the two denominators or to the scalar, so
+it is found by gcds with those small numbers alone.  The coefficients are
+reduced one by one only where they are observed: ``hash``, ``to_text`` and
+the ``c1``/``cA2``/``cA1`` views.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from __future__ import annotations
 import numbers
 import re
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
 
 from .errors import FormatError
 
@@ -28,7 +40,8 @@ __all__ = [
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _GAUSS_RE = re.compile(rf"^({_RAT})$|^({_RAT})\+({_RAT})\*i$")
 
-Scalar = Union[int, Fraction, "GaussianRational"]
+_new = object.__new__
+_F0 = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -40,11 +53,24 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _frac(value) -> Fraction:
+    t = type(value)
+    if t is Fraction:
+        return value
+    if t is int:
+        return Fraction(value)
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass int, Fraction or a p/q string")
     if isinstance(value, numbers.Integral):
         return Fraction(int(value))
     return Fraction(value)
+
+
+def _gauss(re: Fraction, im: Fraction) -> "GaussianRational":
+    """A GaussianRational from two Fractions, without coercion."""
+    z = _new(GaussianRational)
+    z.re = re
+    z.im = im
+    return z
 
 
 class GaussianRational:
@@ -76,13 +102,17 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gauss(-self.re, -self.im)
+
+    # Each operator skips the imaginary arithmetic when both operands are real.
 
     def __add__(self, other):
         other = as_gaussian(other, strict=False)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if self.im or other.im:
+            return _gauss(self.re + other.re, self.im + other.im)
+        return _gauss(self.re + other.re, _F0)
 
     __radd__ = __add__
 
@@ -90,7 +120,9 @@ class GaussianRational:
         other = as_gaussian(other, strict=False)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if self.im or other.im:
+            return _gauss(self.re - other.re, self.im - other.im)
+        return _gauss(self.re - other.re, _F0)
 
     def __rsub__(self, other):
         other = as_gaussian(other, strict=False)
@@ -102,10 +134,10 @@ class GaussianRational:
         other = as_gaussian(other, strict=False)
         if other is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if self.im or other.im:
+            return _gauss(self.re * other.re - self.im * other.im,
+                          self.re * other.im + self.im * other.re)
+        return _gauss(self.re * other.re, _F0)
 
     __rmul__ = __mul__
 
@@ -113,13 +145,13 @@ class GaussianRational:
         other = as_gaussian(other, strict=False)
         if other is None:
             return NotImplemented
+        if not (self.im or other.im) and other.re:
+            return _gauss(self.re / other.re, _F0)
         d = other.abs2()
         if not d:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _gauss((self.re * other.re + self.im * other.im) / d,
+                      (self.im * other.re - self.re * other.im) / d)
 
     def __rtruediv__(self, other):
         other = as_gaussian(other, strict=False)
@@ -158,6 +190,13 @@ def as_gaussian(value, strict: bool = True):
 
     With ``strict=False`` returns None on unsupported types (operator protocol).
     """
+    t = type(value)
+    if t is GaussianRational:
+        return value
+    if t is Fraction:
+        return _gauss(value, _F0)
+    if t is int:
+        return _gauss(Fraction(value), _F0)
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction, numbers.Integral)):
@@ -167,18 +206,79 @@ def as_gaussian(value, strict: bool = True):
     return None
 
 
-_ZERO = GaussianRational(0)
+def _scalar_parts(value):
+    """``(re, im, den)``, den > 0, of an exact scalar; None for other types."""
+    t = type(value)
+    if t is Fraction:
+        return value.numerator, 0, value.denominator
+    if t is int:
+        return value, 0, 1
+    z = as_gaussian(value, strict=False)
+    if z is None:
+        return None
+    re, im = z.re, z.im
+    if not im:
+        return re.numerator, 0, re.denominator
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _form(n: tuple, d: int) -> "ConstLinear":
+    """The form with numerators ``n`` over the positive ``d``, which must
+    already be in lowest terms."""
+    v = _new(ConstLinear)
+    v._n = n
+    v._d = d
+    return v
+
+
+def _reduced(n0, n1, n2, n3, n4, n5, d) -> "ConstLinear":
+    """The form (n0, .., n5)/d divided through by the gcd of all seven ints."""
+    g = gcd(d, n0, n1, n2, n3, n4, n5)
+    if g == 1:
+        return _form((n0, n1, n2, n3, n4, n5), d)
+    return _form((n0 // g, n1 // g, n2 // g, n3 // g, n4 // g, n5 // g), d // g)
+
+
+def _joined(n0, n1, n2, n3, n4, n5, d, g) -> "ConstLinear":
+    """A sum of two forms over d, the lcm of their denominators, whose gcd is g.
+
+    Both terms are in lowest terms.  A prime that divides one denominator to
+    a higher power than the other cannot divide every numerator of the sum:
+    modulo that prime they are the numerators of the term with the higher
+    power times a unit.  So the common factor of the sum divides g.
+    """
+    if g != 1:
+        g = gcd(g, n0, n1, n2, n3, n4, n5)
+        if g != 1:
+            n0, n1, n2, n3, n4, n5 = n0 // g, n1 // g, n2 // g, n3 // g, n4 // g, n5 // g
+            d //= g
+    return _form((n0, n1, n2, n3, n4, n5), d)
 
 
 class ConstLinear:
-    """Affine form ``c1 + cA2*A2 + cA1*A1`` over Gaussian rationals."""
+    """Affine form ``c1 + cA2*A2 + cA1*A1`` over Gaussian rationals.
 
-    __slots__ = ("c1", "cA2", "cA1")
+    ``_n`` holds the numerators (re c1, im c1, re cA2, im cA2, re cA1, im cA1)
+    and ``_d`` their shared positive denominator, with gcd(_d, *_n) == 1.
+    """
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, c1=0, cA2=0, cA1=0):
-        self.c1 = as_gaussian(c1)
-        self.cA2 = as_gaussian(cA2)
-        self.cA1 = as_gaussian(cA1)
+        # every coefficient is reduced, so the lcm of their denominators is
+        # in lowest terms with the scaled numerators
+        if type(c1) is int and type(cA2) is int and type(cA1) is int:
+            self._n = (c1, 0, cA2, 0, cA1, 0)
+            self._d = 1
+            return
+        parts = []
+        for c in (c1, cA2, cA1):
+            z = as_gaussian(c)
+            parts += (z.re, z.im)
+        d = lcm(*(q.denominator for q in parts))
+        self._n = tuple(q.numerator * (d // q.denominator) for q in parts)
+        self._d = d
 
     @classmethod
     def scalar(cls, value) -> "ConstLinear":
@@ -196,67 +296,169 @@ class ConstLinear:
     def zero(cls) -> "ConstLinear":
         return cls()
 
+    # -- reduced views ------------------------------------------------------
+
+    def _coeff(self, i: int) -> GaussianRational:
+        d = self._d
+        return _gauss(Fraction(self._n[i], d), Fraction(self._n[i + 1], d))
+
+    @property
+    def c1(self) -> GaussianRational:
+        return self._coeff(0)
+
+    @property
+    def cA2(self) -> GaussianRational:
+        return self._coeff(2)
+
+    @property
+    def cA1(self) -> GaussianRational:
+        return self._coeff(4)
+
     def is_zero(self) -> bool:
-        return self.c1.is_zero() and self.cA2.is_zero() and self.cA1.is_zero()
+        return not any(self._n)
 
     def is_scalar(self) -> bool:
         """True when the symbolic coefficients vanish."""
-        return self.cA2.is_zero() and self.cA1.is_zero()
+        _, _, n2, n3, n4, n5 = self._n
+        return not (n2 or n3 or n4 or n5)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstLinear):
             return NotImplemented
-        return self.c1 == other.c1 and self.cA2 == other.cA2 and self.cA1 == other.cA1
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self):
         return hash((self.c1, self.cA2, self.cA1))
 
+    # -- arithmetic ---------------------------------------------------------
+
     def __neg__(self) -> "ConstLinear":
-        return ConstLinear(-self.c1, -self.cA2, -self.cA1)
+        n0, n1, n2, n3, n4, n5 = self._n
+        return _form((-n0, -n1, -n2, -n3, -n4, -n5), self._d)
 
     def __add__(self, other):
         if not isinstance(other, ConstLinear):
             return NotImplemented
-        return ConstLinear(self.c1 + other.c1, self.cA2 + other.cA2, self.cA1 + other.cA1)
+        a0, a1, a2, a3, a4, a5 = self._n
+        b0, b1, b2, b3, b4, b5 = other._n
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, d)
+        g = gcd(d, e)
+        fa, fb = e // g, d // g
+        return _joined(a0 * fa + b0 * fb, a1 * fa + b1 * fb, a2 * fa + b2 * fb,
+                       a3 * fa + b3 * fb, a4 * fa + b4 * fb, a5 * fa + b5 * fb, d * fa, g)
 
     def __sub__(self, other):
         if not isinstance(other, ConstLinear):
             return NotImplemented
-        return ConstLinear(self.c1 - other.c1, self.cA2 - other.cA2, self.cA1 - other.cA1)
+        a0, a1, a2, a3, a4, a5 = self._n
+        b0, b1, b2, b3, b4, b5 = other._n
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5, d)
+        g = gcd(d, e)
+        fa, fb = e // g, d // g
+        return _joined(a0 * fa - b0 * fb, a1 * fa - b1 * fb, a2 * fa - b2 * fb,
+                       a3 * fa - b3 * fb, a4 * fa - b4 * fb, a5 * fa - b5 * fb, d * fa, g)
+
+    def _scaled(self, p: int, s: int) -> "ConstLinear":
+        """The form times p/s, with s > 0 and gcd(p, s) == 1."""
+        if not p:
+            return _form((0, 0, 0, 0, 0, 0), 1)
+        n0, n1, n2, n3, n4, n5 = self._n
+        d = self._d
+        # d is coprime to the numerators taken together and p to s, so the
+        # common factor of the product is gcd(p, d) * gcd(s, numerators)
+        g = gcd(s, n0, n1, n2, n3, n4, n5)
+        if g != 1:
+            n0, n1, n2, n3, n4, n5 = n0 // g, n1 // g, n2 // g, n3 // g, n4 // g, n5 // g
+            s //= g
+        g = gcd(p, d)
+        if g != 1:
+            p //= g
+            d //= g
+        return _form((n0 * p, n1 * p, n2 * p, n3 * p, n4 * p, n5 * p), d * s)
+
+    def _times(self, p: int, q: int, s: int) -> "ConstLinear":
+        """The form times (p + q i)/s, with s > 0."""
+        n0, n1, n2, n3, n4, n5 = self._n
+        return _reduced(n0 * p - n1 * q, n0 * q + n1 * p, n2 * p - n3 * q,
+                        n2 * q + n3 * p, n4 * p - n5 * q, n4 * q + n5 * p, self._d * s)
 
     def __mul__(self, other):
+        t = type(other)
+        if t is Fraction:
+            return self._scaled(other.numerator, other.denominator)
+        if t is int:
+            return self._scaled(other, 1)
         if isinstance(other, ConstLinear):
             # The basis is not closed under multiplication; only a pure scalar
             # factor is meaningful.
-            if other.is_scalar():
-                other = other.c1
-            elif self.is_scalar():
-                self, other = other, self.c1
-            else:
-                raise ValueError("product of two symbolic ConstLinear values is not "
-                                 "representable in the basis {1, A2, A1}")
-        g = as_gaussian(other, strict=False)
-        if g is None:
-            return NotImplemented
-        return ConstLinear(self.c1 * g, self.cA2 * g, self.cA1 * g)
+            if not other.is_scalar():
+                if not self.is_scalar():
+                    raise ValueError("product of two symbolic ConstLinear values is not "
+                                     "representable in the basis {1, A2, A1}")
+                self, other = other, self
+            p, q, s = other._n[0], other._n[1], other._d
+            if not q:
+                # a real scalar form in lowest terms has gcd(p, s) == 1
+                return self._scaled(p, s)
+        else:
+            parts = _scalar_parts(other)
+            if parts is None:
+                return NotImplemented
+            p, q, s = parts
+            if not q:
+                return self._scaled(p, s)
+        return self._times(p, q, s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        g = as_gaussian(other, strict=False)
-        if g is None:
+        parts = _scalar_parts(other)
+        if parts is None:
             return NotImplemented
-        return ConstLinear(self.c1 / g, self.cA2 / g, self.cA1 / g)
+        p, q, s = parts
+        if not q:
+            if not p:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return self._scaled(s, p) if p > 0 else self._scaled(-s, -p)
+        return self._times(p * s, -q * s, p * p + q * q)
+
+    # -- observation --------------------------------------------------------
 
     def numeric(self, a2: complex, a1: complex) -> complex:
         """Float image under numeric values of the constants.
 
         Evaluation order is fixed: c1, then the A2 term, then the A1 term.
+        Each part is int / int, correctly rounded like float(Fraction).
         """
-        return complex(self.c1) + complex(self.cA2) * a2 + complex(self.cA1) * a1
+        n0, n1, n2, n3, n4, n5 = self._n
+        d = self._d
+        return (complex(n0 / d, n1 / d) + complex(n2 / d, n3 / d) * a2
+                + complex(n4 / d, n5 / d) * a1)
 
     def to_text(self) -> str:
-        return f"{self.c1.to_text()} + {self.cA2.to_text()}*A2 + {self.cA1.to_text()}*A1"
+        n0, n1, n2, n3, n4, n5 = self._n
+        d = self._d
+        # every part but re c1 is reduced on its own (0 gives 0/1) ...
+        g2, g4 = gcd(n2, d), gcd(n4, d)
+        q2, q4 = d // g2, d // g4
+        rest = lcm(q2, q4)
+        ims = ("", "", "")
+        if n1 or n3 or n5:
+            ims = []
+            for n in (n1, n3, n5):
+                g = gcd(n, d)
+                rest = lcm(rest, d // g)
+                ims.append(f"+{n // g}/{d // g}*i" if n else "")
+        # ... and in lowest terms d is the lcm of the six reduced denominators,
+        # so the factor that re c1 cancels divides rest, the lcm of the others
+        g = gcd(rest, n0)
+        re1 = f"{n0}/{d}" if g == 1 else f"{n0 // g}/{d // g}"
+        return (f"{re1}{ims[0]} + {n2 // g2}/{q2}{ims[1]}*A2 + "
+                f"{n4 // g4}/{q4}{ims[2]}*A1")
 
     @classmethod
     def from_text(cls, text: str) -> "ConstLinear":

@@ -102,15 +102,14 @@ class PiecewiseLaurent:
     # -- evaluation ---------------------------------------------------------
 
     def _piece_value(self, k: int, x: Fraction) -> ConstLinear:
-        total = ConstLinear.zero()
+        total = None
         for e, c in self.pieces[k].items():
-            if e == 0:
-                total = total + c
-            else:
-                if x == 0 and e < 0:
+            if e:
+                if e < 0 and not x:
                     raise DomainError("negative exponent evaluated at 0")
-                total = total + c * (x ** e)
-        return total
+                c = c * (x ** e)
+            total = c if total is None else total + c
+        return ConstLinear.zero() if total is None else total
 
     def eval_at(self, x, side: Side = Side.POINT) -> ConstLinear:
         """Exact value at rational x using the requested breakpoint convention.

@@ -188,14 +188,14 @@ def resolvent_function(E: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
     Requires the weighted integrand E(t)/t^2 to be integrable at 0+, which is
     the admissibility condition for the inversion formula.
     """
-    A = as_gaussian(A)
+    A = ConstLinear(A)
     cums, blocker = E._prefix(-2)
     if blocker is not None:
         raise blocker[1]
     pieces = []
     for k, piece in enumerate(E.pieces):
         out = dict(piece)
-        linear = ConstLinear(A) + cums[k]
+        linear = A + cums[k]
         for e, c in piece.items():
             m = e - 2
             # t * (antiderivative of c t^m): the exponent lands back on e

@@ -47,6 +47,15 @@ GOLDEN_OUTPUTS = {
     "table_mu_chi_numeric_1e-7": (["table", "--seq", "mu_chi", "--D", "-3", "--X", "100",
                                    "--mode", "numeric", "--precision", "1e-7"], 0,
                                   "290f9c701488fc5a0afaee09dc5f0c778b9ee1b70374a1e3c551f6139c36380f"),
+    # the scale of the scalar kernel: lcm(1..1000)-type denominators; the
+    # first two are the bench's verify_mu and table_chi configs
+    "verify_mu_100_complex_A": (["verify", "--seq", "mu", "--X", "100", "--A=0/1",
+                                 "--A=3/2+1/2*i"], 0,
+                                "9e836e37e44a0f7589b0525c22d6db1aa03dc773ceb45b920757dc9221d46613"),
+    "table_mu_chi_1000": (["table", "--seq", "mu_chi", "--D", "-3", "--X", "1000"], 0,
+                          "65a7cbc5242f1946934896a5a8c8d75605f44f233c47152964b92eb760a4715d"),
+    "verify_mu_1000": (["verify", "--seq", "mu", "--X", "1000"], 0,
+                       "d5f982c608454807ffb958e08c9202cf5316d4b00f156ddcf3425dc4f391c4aa"),
 }
 
 
@@ -61,6 +70,35 @@ def test_golden_output_bytes(name, tmp_path, capsys):
     code, _, _ = run([s.format(b=bfile) for s in argv] + ["-o", str(out)], capsys)
     assert code == expect_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+MOD4_CHARACTER = "residue,value\n0,0\n1,1\n2,0\n3,-1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "numeric", "--X", "10"],
+    ["table", "--X", "10"],
+    ["solve", "--input", "{dump}"],
+    ["sieve", "--emit", "character"],
+])
+def test_d_and_chi_file_are_exclusive(argv, tmp_path, capsys):
+    # with both, the suites would run on the file's character while the
+    # growth row is keyed and checked by --D
+    chi = tmp_path / "chi4.csv"
+    chi.write_text(MOD4_CHARACTER)
+    dump = tmp_path / "e.txt"
+    dump.write_text(monomial(4, 2).dumps())
+    out = tmp_path / "out.csv"
+    code, _, err = run([a.format(dump=dump) for a in argv]
+                       + ["--seq", "mu_chi", "--D", "-3", "--chi-file", str(chi),
+                          "-o", str(out)], capsys)
+    assert code == 2
+    assert "--D and --chi-file" in err
+    # either one alone is accepted
+    for alone in (["--D", "-4"], ["--chi-file", str(chi)]):
+        code, _, _ = run([a.format(dump=dump) for a in argv]
+                         + ["--seq", "mu_chi", *alone, "-o", str(out)], capsys)
+        assert code == 0
 
 
 class TestVerify:

@@ -4,14 +4,35 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import RefConstLinear
+from errlab.decomposition import build_fracsquare_series
 from errlab.errors import FormatError
 from errlab.exactnum import ConstLinear, GaussianRational
+from errlab.sequences import kronecker_character, mobius_sieve, twist
+from errlab.volterra import (build_error_term, build_fracpart_series, make_case,
+                             resolvent_function)
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 gaussians = st.builds(GaussianRational, fractions, fractions)
 forms = st.builds(ConstLinear, gaussians, gaussians, gaussians)
+
+# Rationals of modulus <= 700 over ~1 kbit denominators, the divisors
+# lcm(1..700)/k, next to small ones, so that sums meet both equal and
+# unequal shared denominators.
+LCM_700 = math.lcm(*range(1, 701))
+big_fractions = st.builds(lambda n, k: Fraction(n, LCM_700 // k),
+                          st.integers(-LCM_700, LCM_700), st.integers(1, 700))
+rationals = st.one_of(st.integers(-30, 30), fractions, big_fractions)
+real_gaussians = st.builds(GaussianRational, rationals)
+complex_gaussians = st.builds(GaussianRational, rationals, rationals.filter(bool))
+scalars = st.one_of(st.integers(-30, 30), fractions, big_fractions,
+                    real_gaussians, complex_gaussians)
+coefficients = st.one_of(st.just(0), scalars)
+OPS = ("add", "sub", "neg", "mul", "rmul", "mul_form", "div")
+# (a2, a1) pairs for numeric(): float and complex constants
+NUMERIC_AT = ((6 / math.pi ** 2, 0.0), (complex(0.5, 0.25), -1.25))
 
 
 class TestGaussianRational:
@@ -112,3 +133,123 @@ class TestConstLinear:
         assert v.to_text() == "1/2 + -9/8*A2 + 0/1*A1"
         z = ConstLinear(GaussianRational(Fraction(1, 2), Fraction(1, 3)), 0, 1)
         assert ConstLinear.from_text(z.to_text()) == z
+
+
+def _numeric_bits(v, a2, a1):
+    try:
+        z = v.numeric(a2, a1)
+    except OverflowError:
+        return "overflow"
+    return z.real.hex(), z.imag.hex()
+
+
+def _assert_same(new, ref):
+    assert new.to_text() == ref.to_text()
+    assert hash(new) == hash(ref)
+    assert new.is_zero() == ref.is_zero()
+    assert new.is_scalar() == ref.is_scalar()
+    for a2, a1 in NUMERIC_AT:
+        assert _numeric_bits(new, a2, a1) == _numeric_bits(ref, a2, a1)
+
+
+class TestFlatKernel:
+    """ConstLinear against the coefficient-by-coefficient reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_chains_match_reference(self, data):
+        pool = []
+        for _ in range(3):
+            c = data.draw(st.tuples(coefficients, coefficients, coefficients), label="form")
+            pool.append((ConstLinear(*c), RefConstLinear(*c)))
+            _assert_same(*pool[-1])
+        for _ in range(data.draw(st.integers(1, 12), label="length")):
+            op = data.draw(st.sampled_from(OPS), label="op")
+            (u, ru), (v, rv) = (pool[data.draw(st.integers(0, len(pool) - 1))]
+                                for _ in range(2))
+            s = data.draw(scalars, label="scalar")
+            if op == "add":
+                new, ref = u + v, ru + rv
+                assert new - v == u
+            elif op == "sub":
+                new, ref = u - v, ru - rv
+                assert new + v == u
+            elif op == "neg":
+                new, ref = -u, -ru
+            elif op == "mul":
+                new, ref = u * s, ru * s
+            elif op == "rmul":
+                new, ref = s * u, s * ru
+            elif op == "mul_form":
+                if not (u.is_scalar() or v.is_scalar()):
+                    with pytest.raises(ValueError):
+                        u * v
+                    with pytest.raises(ValueError):
+                        ru * rv
+                    continue
+                new, ref = u * v, ru * rv
+            else:
+                if not s:
+                    with pytest.raises(ZeroDivisionError):
+                        u / s
+                    with pytest.raises(ZeroDivisionError):
+                        ru / s
+                    continue
+                new, ref = u / s, ru / s
+            _assert_same(new, ref)
+            # every form is stored in lowest terms
+            assert math.gcd(new._d, *new._n) == 1
+            for w, rw in pool:
+                assert (new == w) == (ref == rw)
+            pool.append((new, ref))
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), GaussianRational(0)])
+    def test_zero_divisor(self, zero):
+        for v in (ConstLinear(1, Fraction(1, LCM_700), 0), RefConstLinear(1, 2, 3),
+                  ConstLinear.zero()):
+            with pytest.raises(ZeroDivisionError):
+                v / zero
+
+    def test_floats_rejected(self):
+        for v in (ConstLinear(Fraction(1, 3), 0, 1), RefConstLinear(Fraction(1, 3), 0, 1)):
+            for apply in (lambda: v * 0.5, lambda: 0.5 * v, lambda: v / 0.5,
+                          lambda: v + 0.5, lambda: v - 0.5):
+                with pytest.raises(TypeError):
+                    apply()
+        with pytest.raises(TypeError):
+            ConstLinear(0.5)
+
+    def test_views_are_reduced_gaussians(self):
+        z = GaussianRational(Fraction(2, 4), Fraction(-1, 6))
+        v = ConstLinear(z, Fraction(3, 9), 0) * 2
+        assert isinstance(v.c1, GaussianRational) and isinstance(v.c1.re, Fraction)
+        assert (v.c1.re, v.c1.im, v.cA2.re, v.cA2.im, v.cA1.re, v.cA1.im) == (
+            1, Fraction(-1, 3), Fraction(2, 3), 0, 0, 0)
+        assert v._d == 3
+        # the operators are class attributes, so they can be wrapped in place
+        for op in ("__add__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+                   "__neg__", "to_text"):
+            assert op in vars(ConstLinear)
+
+    def test_equal_values_stored_identically(self):
+        # a sum over equal denominators is reduced like every other result
+        half = ConstLinear(Fraction(1, 2), Fraction(1, 8))
+        w, u = half + half, ConstLinear(1, Fraction(1, 4))
+        assert (w._n, w._d) == (u._n, u._d) == ((4, 0, 1, 0, 0, 0), 4)
+        assert w == u and hash(w) == hash(u)
+        assert w.to_text() == u.to_text() == "1/1 + 1/4*A2 + 0/1*A1"
+        assert (w * Fraction(2, 3))._d == 6
+
+    def test_denominator_growth_at_x_1000(self):
+        # piece constants at X = 1000 have lcm(1..1000)-type denominators; the
+        # shared denominator must stay near that size
+        X = 1000
+        limit = math.lcm(*range(1, X + 1)).bit_length() + 64
+        case = make_case(twist(mobius_sieve(X), kronecker_character(-3)), X)
+        E = build_error_term(case)
+        built = [E, build_fracpart_series(case), build_fracsquare_series(case, twisted=True),
+                 resolvent_function(E)]
+        consts = [c for f in built for piece in f.pieces for c in piece.values()]
+        consts += E._prefix(-2)[0]
+        assert len(consts) > 10000
+        assert max(c._d.bit_length() for c in consts) <= limit

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (divisor_sum_oracle, floor_identity_oracle, mobius_oracle,
-                      mobius_per_prime_sieve, quadratic_residue_character, totient_oracle)
+                      mobius_per_prime_sieve, quadratic_residue_character, totient_oracle,
+                      unit_divisor_sum_oracle)
+from errlab.decomposition import _unit_convolve
 from errlab.errors import (CapacityError, DomainError, FormatError, PrecisionError,
                            UncertifiableSeriesError)
 from errlab.exactnum import GaussianRational, as_gaussian
@@ -168,6 +170,44 @@ class TestTwistAndConvolution:
         a = ArithSequence("z", [GaussianRational(1, 1), Fraction(1, 2), 0, 1])
         b = convolve_id(a)
         assert as_gaussian(b.value(4)) == divisor_sum_oracle(a, 4)
+
+
+def _int_backed(name, N):
+    """An int64-backed sequence: a sieve, or a sieve twisted by chi_D."""
+    sieve = {"mu": mobius_sieve, "phi": totient_sieve}[name.split("*")[0]]
+    seq = sieve(N)
+    if "*" in name:
+        seq = twist(seq, kronecker_character(int(name.split("*")[1])))
+    return seq
+
+
+class TestIntArrayPaths:
+    """The int64 fast paths against a list-backed copy and the oracles."""
+
+    @pytest.mark.parametrize("N", [1, 2, 95, 100, 300])
+    @pytest.mark.parametrize("name", ["mu", "phi"] + [f"{s}*{D}" for s in ("mu", "phi")
+                                                      for D in (-3, -4, 5, 8)])
+    def test_against_list_copy_and_oracles(self, name, N):
+        seq = _int_backed(name, N)
+        listed = ArithSequence("list", [seq.value(n) for n in range(1, N + 1)])
+        assert seq.int_array() is not None and listed.int_array() is None
+
+        prefix = [0]
+        for n in range(1, N + 1):
+            prefix.append(prefix[-1] + seq.value(n))
+        assert [seq.prefix_sum(k) for k in range(N + 1)] == prefix
+        assert [listed.prefix_sum(k) for k in range(N + 1)] == prefix
+
+        b, b_list = convolve_id(seq), convolve_id(listed)
+        assert b.int_array() is not None and b.N == b_list.N == N
+        for n in range(1, N + 1):
+            assert b.value(n) == b_list.value(n)
+            assert as_gaussian(b.value(n)) == divisor_sum_oracle(seq, n)
+
+        u, u_list = _unit_convolve(seq, N), _unit_convolve(listed, N)
+        for n in range(1, N + 1):
+            assert u[n] == u_list[n]
+            assert as_gaussian(int(u[n])) == unit_divisor_sum_oracle(seq, n)
 
 
 class TestSummatory:
