@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .errors import DivergentAtZeroError, DomainError, FormatError, LogCaseError
-from .exactnum import ConstLinear, as_gaussian
+from .exactnum import ConstLinear, as_gaussian, parse_rational
 
 __all__ = [
     "EXP_MIN",
@@ -55,6 +55,18 @@ def _full_pieces(x: Fraction) -> int:
     # one more piece at an integer domain end, so right limits exist at every
     # breakpoint of [0, X]; equals _min_pieces for non-integer X
     return math.floor(x) + 1
+
+
+def _value(piece: Dict[int, ConstLinear], x: Fraction) -> ConstLinear:
+    """sum_e c_e x^e over an exponent -> coefficient map, exact."""
+    total = None
+    for e, c in piece.items():
+        if e:
+            if e < 0 and not x:
+                raise DomainError("negative exponent evaluated at 0")
+            c = c * (x ** e)
+        total = c if total is None else total + c
+    return ConstLinear.zero() if total is None else total
 
 
 class PiecewiseLaurent:
@@ -101,16 +113,6 @@ class PiecewiseLaurent:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _piece_value(self, k: int, x: Fraction) -> ConstLinear:
-        total = None
-        for e, c in self.pieces[k].items():
-            if e:
-                if e < 0 and not x:
-                    raise DomainError("negative exponent evaluated at 0")
-                c = c * (x ** e)
-            total = c if total is None else total + c
-        return ConstLinear.zero() if total is None else total
-
     def eval_at(self, x, side: Side = Side.POINT) -> ConstLinear:
         """Exact value at rational x using the requested breakpoint convention.
 
@@ -122,42 +124,45 @@ class PiecewiseLaurent:
         if x < 0 or x > self.X:
             raise DomainError(f"evaluation point {x} outside [0, {self.X}]")
         if x.denominator != 1:
-            return self._piece_value(math.floor(x), x)
+            return _value(self.pieces[math.floor(x)], x)
         k = int(x)
         if k == 0:
             if side in (Side.LEFT, Side.MIDPOINT):
                 raise DomainError("no left limit at 0")
-            return self._piece_value(0, x)
+            return _value(self.pieces[0], x)
         if side is Side.LEFT:
-            return self._piece_value(k - 1, x)
+            return _value(self.pieces[k - 1], x)
         if side is Side.RIGHT:
             if k >= self.npieces:
                 raise DomainError(f"no right limit at the domain end {x}")
-            return self._piece_value(k, x)
+            return _value(self.pieces[k], x)
         if side is Side.MIDPOINT:
-            left = self._piece_value(k - 1, x)
+            left = _value(self.pieces[k - 1], x)
             right = self.eval_at(x, Side.RIGHT)
             return (left + right) / 2
         # POINT: the piece whose left-closed interval [k, k+1) contains x,
         # falling back to the last piece at an uncovered domain end.
-        return self._piece_value(min(k, self.npieces - 1), x)
+        return _value(self.pieces[min(k, self.npieces - 1)], x)
 
     # -- integration --------------------------------------------------------
 
     def _prefix(self, shift: int):
-        """Cumulative exact integrals of f * t^shift at breakpoints.
+        """The power-rule antiderivatives of f * t^shift, one per piece.
 
-        Returns (cums, blocker) where cums[j] is the integral over (0, j) and
-        blocker = (piece index, exception) for the first non-integrable piece,
-        after which cums stops.
+        Returns (cums, blocker, prims).  prims[k] maps exponents to the
+        coefficients of c/(m+1) t^(m+1) for each term c t^m of piece k, plus
+        the constant that makes it equal integral_0^t on [k, k+1]; cums[j] is
+        the integral over (0, j).  blocker = (piece index, exception) for the
+        first non-integrable piece, where prims and cums stop.
         """
         if shift in self._int_cache:
             return self._int_cache[shift]
         cums = [ConstLinear.zero()]
+        prims: List[Dict[int, ConstLinear]] = []
         blocker = None
-        run = ConstLinear.zero()
         for k, piece in enumerate(self.pieces):
-            contrib = ConstLinear.zero()
+            prim = {}
+            const = cums[k]
             for e, c in sorted(piece.items()):
                 m = e + shift
                 if m == -1:
@@ -166,17 +171,18 @@ class PiecewiseLaurent:
                 if k == 0 and m < -1:
                     blocker = (k, DivergentAtZeroError(m))
                     break
-                # antiderivative c/(m+1) * t^(m+1) over (k, k+1)
-                denom = m + 1
-                hi = Fraction(k + 1) ** denom
-                lo = Fraction(k) ** denom if k else Fraction(0)
-                contrib = contrib + c * (Fraction(hi - lo) / denom)
+                c = c / (m + 1)
+                prim[m + 1] = c
+                if k:
+                    const = const - c * Fraction(k) ** (m + 1)
             if blocker:
                 break
-            run = run + contrib
-            cums.append(run)
-        self._int_cache[shift] = (cums, blocker)
-        return cums, blocker
+            # m + 1 == 0 is the log case, so exponent 0 holds only the constant
+            prim[0] = const
+            prims.append(prim)
+            cums.append(_value(prim, Fraction(k + 1)))
+        self._int_cache[shift] = (cums, blocker, prims)
+        return cums, blocker, prims
 
     def integrate(self, x, weight="1") -> ConstLinear:
         """Exact integral of f(t) * w(t) over (0, x), w in {1, 1/t, 1/t^2}.
@@ -194,20 +200,14 @@ class PiecewiseLaurent:
             raise DomainError(f"integration endpoint {x} outside [0, {self.X}]")
         if x == 0:
             return ConstLinear.zero()
-        cums, blocker = self._prefix(shift)
-        k = math.floor(x)
-        partial = x > k
-        # full pieces (0, k) and, when x is interior, the piece (k, x)
-        needed = k if not partial else k + 1
-        if blocker is not None and blocker[0] < needed:
+        cums, blocker, prims = self._prefix(shift)
+        # x lies in the piece (k, k+1]
+        k = math.ceil(x) - 1
+        if blocker is not None and blocker[0] <= k:
             raise blocker[1]
-        total = cums[k]
-        if partial:
-            for e, c in sorted(self.pieces[k].items()):
-                m = e + shift
-                denom = m + 1
-                total = total + c * ((x ** denom - Fraction(k) ** denom) / denom)
-        return total
+        if x.denominator == 1:
+            return cums[k + 1]
+        return _value(prims[k], x)
 
     # -- text dump ----------------------------------------------------------
 
@@ -230,7 +230,7 @@ class PiecewiseLaurent:
             head, _, rest = line.partition(":")
             head = head.strip()
             if head == "X":
-                x_end = Fraction(rest.strip())
+                x_end = parse_rational(rest.strip())
                 continue
             try:
                 k = int(head)

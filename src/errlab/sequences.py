@@ -110,16 +110,6 @@ class ArithSequence:
         v = self._prefix[k]
         return int(v) if self._arr is not None else v
 
-    def check_magnitude_bound(self) -> bool:
-        """Exact check of |a(n)| <= magnitude_bound for all stored n."""
-        if self.magnitude_bound is None:
-            return True
-        b2 = self.magnitude_bound * self.magnitude_bound
-        for n in range(1, self.N + 1):
-            if as_gaussian(self.value(n)).abs2() > b2:
-                return False
-        return True
-
     def __repr__(self):
         return f"ArithSequence({self.name!r}, N={self.N})"
 
@@ -280,9 +270,9 @@ def twist(a: ArithSequence, chi: CharacterSpec) -> ArithSequence:
     return ArithSequence(name, vals, magnitude_bound=a.magnitude_bound)
 
 
-def convolve_id(a: ArithSequence, upto: Optional[int] = None) -> ArithSequence:
-    """b(n) = sum_{d|n} a(d) * (n/d) for n <= upto, by divisor passes."""
-    n = a.N if upto is None else min(upto, a.N)
+def convolve_id(a: ArithSequence) -> ArithSequence:
+    """b(n) = sum_{d|n} a(d) * (n/d) for n <= a.N, by divisor passes."""
+    n = a.N
     arr = a.int_array()
     if arr is not None:
         out = np.zeros(n + 1, dtype=np.int64)
@@ -303,10 +293,6 @@ def convolve_id(a: ArithSequence, upto: Optional[int] = None) -> ArithSequence:
     return ArithSequence(f"({a.name})*Id", out[1:])
 
 
-def _floor_div(x: Fraction, d: int) -> int:
-    return x.numerator // (x.denominator * d)
-
-
 def summatory(b: ArithSequence, x) -> GaussianRational:
     """Exact sum_{n<=x} b(n), right-continuous: integer x includes the term n=x."""
     x = Fraction(x)
@@ -315,46 +301,46 @@ def summatory(b: ArithSequence, x) -> GaussianRational:
     return as_gaussian(b.prefix_sum(math.floor(x)))
 
 
-def summatory_via_floor_identity(a: ArithSequence, x) -> GaussianRational:
-    """sum_{d<=x} a(d) * floor(x/d) * (floor(x/d)+1) / 2, exact.
+def _floor_blocks(a: ArithSequence, x):
+    """(m, sum of a(d) over the block) for each block of d <= x on which
+    floor(x/d) = m.
 
-    Equals summatory(convolve_id(a), x) by exchanging the order of summation.
     With k = floor(x), floor(x/d) = floor(k/d) takes one value m on each block
-    of d in [lo, k // (k // lo)], so the sum runs over the O(sqrt(x)) blocks,
-    weighting m(m+1)/2 by the block's prefix-sum difference of a.
+    of d in [lo, k // (k // lo)], so there are O(sqrt(x)) blocks, each summed
+    as a prefix-sum difference of a.
     """
     x = Fraction(x)
     if x < 0 or x > a.N:
         raise DomainError(f"evaluation point {x} outside 0..{a.N}")
     k = math.floor(x)
-    total = below = 0
+    below = 0
     lo = 1
     while lo <= k:
         m = k // lo
         hi = k // m
         upto = a.prefix_sum(hi)
-        total = total + (upto - below) * (m * (m + 1) // 2)
+        yield m, upto - below
         below = upto
         lo = hi + 1
+
+
+def summatory_via_floor_identity(a: ArithSequence, x) -> GaussianRational:
+    """sum_{d<=x} a(d) * floor(x/d) * (floor(x/d)+1) / 2, exact.
+
+    Equals summatory(convolve_id(a), x) by exchanging the order of summation.
+    """
+    total = 0
+    for m, block in _floor_blocks(a, x):
+        total = total + block * (m * (m + 1) // 2)
     return as_gaussian(total)
 
 
 def floor_sum(a: ArithSequence, x) -> GaussianRational:
     """sum_{d<=x} a(d) * floor(x/d), exact."""
-    x = Fraction(x)
-    if x < 0 or x > a.N:
-        raise DomainError(f"evaluation point {x} outside 0..{a.N}")
-    arr = a.int_array()
-    k = math.floor(x)
-    # d * denominator <= numerator here, so int64 is exact when the numerator fits
-    if arr is not None and k and x.numerator <= np.iinfo(np.int64).max:
-        d = np.arange(1, k + 1, dtype=np.int64)
-        vals = x.numerator // (d * x.denominator)
-        return GaussianRational(int(np.dot(arr[1:k + 1], vals)))
-    total = GaussianRational(0)
-    for d in range(1, k + 1):
-        total = total + as_gaussian(a.value(d)) * _floor_div(x, d)
-    return total
+    total = 0
+    for m, block in _floor_blocks(a, x):
+        total = total + block * m
+    return as_gaussian(total)
 
 
 _A2_CHUNK = 1 << 16

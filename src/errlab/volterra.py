@@ -25,7 +25,8 @@ from typing import Optional
 
 from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational, as_gaussian
-from .piecewise import PiecewiseLaurent, Side, combine, constant_function, shift_exponent
+from .piecewise import (PiecewiseLaurent, Side, combine, constant_function, monomial,
+                        shift_exponent)
 from .sequences import ArithSequence, convolve_id
 
 __all__ = [
@@ -158,9 +159,7 @@ def remainder_integral_residual(case: VolterraCase, x,
 
 def homogeneous_function(A, X) -> PiecewiseLaurent:
     """G(t) = A t on [0, max(X, 1)], with a right limit at every integer."""
-    end = max(Fraction(X), Fraction(1))
-    c = ConstLinear(as_gaussian(A))
-    return PiecewiseLaurent(end, [{1: c} for _ in range(math.floor(end) + 1)])
+    return monomial(max(Fraction(X), 1), 1, as_gaussian(A))
 
 
 def homogeneous_residual(A, x, G: Optional[PiecewiseLaurent] = None) -> ConstLinear:
@@ -189,20 +188,16 @@ def resolvent_function(E: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
     the admissibility condition for the inversion formula.
     """
     A = ConstLinear(A)
-    cums, blocker = E._prefix(-2)
+    _, blocker, prims = E._prefix(-2)
     if blocker is not None:
         raise blocker[1]
     pieces = []
-    for k, piece in enumerate(E.pieces):
-        out = dict(piece)
-        linear = A + cums[k]
+    for piece, prim in zip(E.pieces, prims):
+        # t * prim lifts each exponent e - 1 back onto e, the constant onto 1
+        out = {e + 1: c for e, c in prim.items()}
+        out[1] = out[1] + A
         for e, c in piece.items():
-            m = e - 2
-            # t * (antiderivative of c t^m): the exponent lands back on e
-            out[e] = out.get(e, ConstLinear.zero()) + c / (m + 1)
-            if k:
-                linear = linear - c * (Fraction(k) ** (m + 1)) / (m + 1)
-        out[1] = out.get(1, ConstLinear.zero()) + linear
+            out[e] = out[e] + c if e in out else c
         pieces.append(out)
     return PiecewiseLaurent(E.X, pieces)
 

@@ -322,6 +322,13 @@ class TestSolve:
         dump.write_text("0: e9=1/1 + 0/1*A2 + 0/1*A1\n")
         assert run(["solve", "--input", str(dump)], capsys)[0] == 2
 
+    def test_zero_denominator_domain_end_exits_2(self, tmp_path, capsys):
+        dump = tmp_path / "e.dump"
+        dump.write_text("X: 1/0\n0: e2=1/1 + 0/1*A2 + 0/1*A1\n")
+        code, _, err = run(["solve", "--input", str(dump)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "1/0" in err
+
 
 class TestSieve:
     def test_sequence_roundtrip(self, tmp_path, capsys):

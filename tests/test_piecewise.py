@@ -4,7 +4,7 @@ linear combination, exponent shifts and the text dump."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from errlab.errors import DivergentAtZeroError, DomainError, FormatError, LogCaseError
 from errlab.exactnum import ConstLinear, GaussianRational
@@ -150,6 +150,20 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             f.integrate(1, "1/t^3")
 
+    @given(laurents())
+    @example(monomial(3, 3))
+    @settings(max_examples=40)
+    def test_integer_endpoints_against_whole_piece_sums(self, f):
+        # t^3 pieces give t^4 primitives, outside the stored exponent range,
+        # and t^-2 pieces t^-1 ones
+        total = ConstLinear.zero()
+        assert f.integrate(0, "1") == total
+        for k in range(f.npieces - 1):
+            for e, c in f.pieces[k].items():
+                lo = Fraction(k) ** (e + 1) if k else 0
+                total = total + c * ((Fraction(k + 1) ** (e + 1) - lo) / (e + 1))
+            assert f.integrate(k + 1, "1") == total, k + 1
+
     @given(laurents(exps=(-2, 0, 1, 2, 3)), interior, interior)
     @settings(max_examples=40)
     def test_additivity_against_direct_formula(self, f, u, v):
@@ -246,3 +260,5 @@ class TestDump:
             PiecewiseLaurent.loads("0: e9=1/1 + 0/1*A2 + 0/1*A1\n")  # exponent range
         with pytest.raises(FormatError):
             PiecewiseLaurent.loads("0: e-1=1/1 + 0/1*A2 + 0/1*A1\n")  # bad at 0+
+        with pytest.raises(FormatError):
+            PiecewiseLaurent.loads("X: 1/0\n0: e0=1/1 + 0/1*A2 + 0/1*A1\n")

@@ -55,7 +55,6 @@ class TestSieves:
         assert mu.value(12) == 0
         assert mu.magnitude_bound == 1
         assert mu.known_A1 == GaussianRational(0)
-        assert mu.check_magnitude_bound()
 
     def test_totient_against_gcd_count(self):
         phi = totient_sieve(300)

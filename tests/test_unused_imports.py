@@ -1,4 +1,5 @@
-"""Every name a library module imports is used there.
+"""Every name a library module imports is used there, and every private
+module-level name is used somewhere in the library.
 
 A stdlib-``ast`` stand-in for pyflakes' unused-import check.  ``__future__``
 imports, the re-exports of ``__init__.py`` and names listed in ``__all__``
@@ -74,3 +75,52 @@ def test_check_catches_an_unused_import(tmp_path):
                    "from math import floor as fl, ceil\n"
                    "__all__ = ['ceil']\n\ndef f(x: 'Path') -> int:\n    return fl(x)\n")
     assert unused_imports(mod) == ["m.py:2: os", "m.py:2: sys"]
+
+
+def _private_definitions(tree):
+    """(name, line) for each module-level _name function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in found if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def orphaned_private_names(paths):
+    """``file:line: name`` for each private module-level name that no module
+    in ``paths`` reads."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    read = {name for tree in trees.values() for name in _references(tree)}
+    return [f"{path.name}:{line}: {name}" for path, tree in trees.items()
+            for name, line in _private_definitions(tree) if name not in read]
+
+
+def test_no_orphaned_private_names():
+    assert orphaned_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+def test_check_catches_an_orphaned_private_name(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("import math\n_LIMIT = 3\n_SPARE: int = 4\n__all__ = ['f']\n\n"
+                   "class _Unused:\n    pass\n\ndef _helper(x):\n    return x\n\n"
+                   "def _orphan(x):\n    return x\n\n"
+                   "def f(x):\n    return _helper(x) + _LIMIT\n")
+    other = tmp_path / "n.py"
+    other.write_text("from m import _Unused\n\nSPARE = _Unused()\n")
+    assert orphaned_private_names([mod]) == ["m.py:3: _SPARE", "m.py:6: _Unused",
+                                             "m.py:12: _orphan"]
+    assert orphaned_private_names([mod, other]) == ["m.py:3: _SPARE", "m.py:12: _orphan"]

@@ -1,13 +1,15 @@
 """Error terms, solution families and exact residuals of the integral equation."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import divisor_sum_oracle, fracpart_series_finite, partial_quadratic_sum
 from errlab.errors import DomainError, LogCaseError
 from errlab.exactnum import ConstLinear, GaussianRational, as_gaussian
-from errlab.piecewise import Side, monomial
+from errlab.piecewise import PiecewiseLaurent, Side, monomial
 from errlab.sequences import (ArithSequence, convolve_id, kronecker_character,
                               mobius_sieve, twist)
 from errlab.volterra import (build_error_term, build_fracpart_series,
@@ -17,6 +19,29 @@ from errlab.volterra import (build_error_term, build_fracpart_series,
 
 A2 = ConstLinear.a2
 GRID_THIRDS = [Fraction(k, 3) for k in range(1, 37)]
+
+small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+coeffs = st.builds(ConstLinear, small_fracs, small_fracs, small_fracs)
+
+
+@st.composite
+def resolvable(draw):
+    """E with E(t)/t^2 integrable at 0+ and no t^-1 term in it anywhere."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    pieces = [draw(st.dictionaries(st.sampled_from(exps), coeffs, max_size=3))
+              for exps in [(2, 3)] + [(-2, 0, 2, 3)] * n]
+    return PiecewiseLaurent(n, pieces)
+
+
+def weighted_integral_oracle(E, x):
+    """integral_0^x E(t)/t^2 dt, term by term with the power rule."""
+    total = ConstLinear.zero()
+    for k in range(math.ceil(x)):
+        hi = Fraction(min(x, k + 1))
+        for e, c in E.pieces[k].items():
+            lo = Fraction(k) ** (e - 1) if k else 0
+            total = total + c * ((hi ** (e - 1) - lo) / (e - 1))
+    return total
 
 
 def mu_case(X=12, A=0):
@@ -246,6 +271,20 @@ class TestResolvent:
         for x in GRID_THIRDS:
             c = (F.eval_at(x, Side.RIGHT) - h.eval_at(x, Side.RIGHT) * x) / x
             assert c == c_ref, x
+
+    @given(resolvable(), small_fracs, st.integers(min_value=0, max_value=3),
+           st.fractions(min_value=Fraction(1, 40), max_value=Fraction(39, 40),
+                        max_denominator=40))
+    @settings(max_examples=40)
+    def test_pieces_against_power_rule(self, E, A, k, u):
+        # t^-2 terms of E give t^-3 primitives, which t lifts back to t^-2
+        F = resolvent_function(E, A)
+        k = min(k, E.npieces - 2)
+        for x in (Fraction(k + 1), k + u):
+            integral = weighted_integral_oracle(E, x)
+            expect = E.eval_at(x, Side.RIGHT) + (integral + ConstLinear.scalar(A)) * x
+            assert F.eval_at(x, Side.RIGHT) == expect, x
+            assert residual(F, E, x).is_zero(), x
 
     def test_free_constant_shifts_linearly(self):
         case = mu_case()
