@@ -231,8 +231,9 @@ def _constants_for_table(cfg: RunConfig, chi) -> tuple:
         raise PrecisionError(
             f"precision {cfg.precision_target:g} needs a sieve of {budget}, "
             f"beyond the budget {MAX_SIEVE}")
-    base = mobius_sieve(budget)
-    seq = twist(base, chi) if chi is not None else base
+    seq = mobius_sieve(budget)
+    if chi is not None:
+        seq = twist(seq, chi)   # rebinding frees the untwisted sieve
     return numeric_constants(seq, chi, cfg.precision_target)
 
 

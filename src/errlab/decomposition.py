@@ -199,7 +199,7 @@ def generic_case(case: VolterraCase) -> DecompositionCase:
 
 def _side_for(case: DecompositionCase, x: Fraction) -> Side:
     if case.kind == "twisted":
-        return Side.MIDPOINT if (x.denominator == 1 and x > 0) else Side.POINT
+        return Side.MIDPOINT if (x.denominator == 1 and x.numerator > 0) else Side.POINT
     return Side.RIGHT if x.denominator == 1 else Side.POINT
 
 
@@ -209,7 +209,8 @@ def split_at(case: DecompositionCase, x):
     Integers take right limits in the plain and generic cases and midpoint
     values (x > 0) in the twisted one.  E_AN is None for a generic case.
     """
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     side = _side_for(case, x)
     e_ar = case.arithmetic_series.eval_at(x, side) * x
     e_an = None if case.analytic_part is None else case.analytic_part.eval_at(x, side)

@@ -120,8 +120,9 @@ class PiecewiseLaurent:
         agrees with RIGHT at interior breakpoints and extends continuously at
         an uncovered domain end.
         """
-        x = Fraction(x)
-        if x < 0 or x > self.X:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if x.numerator < 0 or x > self.X:
             raise DomainError(f"evaluation point {x} outside [0, {self.X}]")
         if x.denominator != 1:
             return _value(self.pieces[math.floor(x)], x)

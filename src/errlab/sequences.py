@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Union
 
@@ -74,8 +74,9 @@ class ArithSequence:
             if not np.issubdtype(values.dtype, np.integer):
                 raise TypeError(f"sequence {name!r}: numpy values need an integer "
                                 f"dtype, not {values.dtype}")
-            # index 0 is a padding slot
-            self._arr = values.astype(np.int64, copy=False)
+            # index 0 is a padding slot; the builder's dtype is kept, and each
+            # consumer widens where its arithmetic needs it
+            self._arr = values
             self._list = None
             self.N = len(values) - 1
         else:
@@ -95,7 +96,7 @@ class ArithSequence:
         return self._list[n]
 
     def int_array(self) -> Optional[np.ndarray]:
-        """The raw int64 array (index 0 padding) when integer-backed, else None."""
+        """The raw integer array (index 0 padding) when integer-backed, else None."""
         return self._arr
 
     def prefix_sum(self, k: int) -> Value:
@@ -160,26 +161,32 @@ def _prime_mask(n: int) -> np.ndarray:
     return mask
 
 
+_SIEVE_BLOCK = 1 << 18
+
+
 def mobius_sieve(n: int) -> ArithSequence:
     """mu(1..n); squarefree sign by parity of prime factors, 0 otherwise.
 
-    Only the primes p <= sqrt(n) are sieved: each flips the sign of its
-    multiples, zeroes the multiples of p^2 and joins the product of the
-    sieved primes of each multiple.  A squarefree m whose sieved primes
-    multiply to less than m has exactly one more prime factor, above
-    sqrt(n), and takes one more sign flip.
+    Only the primes p <= sqrt(n) are sieved, over blocks of _SIEVE_BLOCK
+    entries from m = 1 on.  A block holds, for each m, the product of the
+    sieved primes dividing m, negated once per prime and zeroed by each p^2
+    dividing m.  A squarefree m whose sieved primes multiply to less than m
+    has exactly one more prime factor, above sqrt(n), and takes one more
+    sign flip.
     """
     _check_capacity(n)
-    mu = np.ones(n + 1, dtype=np.int8)
-    # int32 holds the product of the distinct primes <= sqrt(n) dividing m,
-    # which is at most m <= MAX_SIEVE < 2**31
-    prod = np.ones(n + 1, dtype=np.int32)
-    for p in np.flatnonzero(_prime_mask(math.isqrt(n))).tolist():
-        mu[p::p] *= -1
-        prod[p::p] *= p
-        mu[p * p::p * p] = 0
-    mu[prod < np.arange(n + 1, dtype=np.int32)] *= -1
-    mu[0] = 0
+    mu = np.zeros(n + 1, dtype=np.int8)
+    primes = np.flatnonzero(_prime_mask(math.isqrt(n))).tolist()
+    for lo in range(1, n + 1, _SIEVE_BLOCK):
+        block = mu[lo:lo + _SIEVE_BLOCK]
+        # int32 holds the product, of magnitude at most m <= MAX_SIEVE < 2**31
+        prod = np.ones(block.size, dtype=np.int32)
+        for p in primes:
+            prod[-lo % p::p] *= -p
+            prod[-lo % (p * p)::p * p] = 0
+        np.sign(prod, out=block, casting="unsafe")
+        np.negative(block, out=block,
+                    where=np.abs(prod) < np.arange(lo, lo + block.size, dtype=np.int32))
     return ArithSequence("mu", mu, magnitude_bound=Fraction(1),
                          known_A1=GaussianRational(0))
 
@@ -258,14 +265,32 @@ def kronecker_character(d: int) -> CharacterSpec:
     return chi
 
 
+def _negatable_dtype(arr: np.ndarray):
+    """The first of arr's dtype and int64 that holds every value of arr and
+    its negation, or None when neither does."""
+    lo, hi = int(arr.min()), int(arr.max())
+    for dtype in (arr.dtype, np.dtype(np.int64)):
+        info = np.iinfo(dtype)
+        if info.min <= min(lo, -hi) and max(hi, -lo) <= info.max:
+            return dtype
+    return None
+
+
 def twist(a: ArithSequence, chi: CharacterSpec) -> ArithSequence:
-    """Pointwise product a(n) * chi(n mod q); the magnitude bound survives."""
+    """Pointwise product a(n) * chi(n mod q); the magnitude bound survives.
+
+    An integer array is multiplied in its own dtype when that dtype is signed
+    and holds -a(n) for every n, else in int64 when int64 holds every value;
+    otherwise the product is taken on Python ints.
+    """
     name = f"{a.name}*chi({chi.q})"
     arr = a.int_array()
-    if arr is not None:
+    dtype = None if arr is None else _negatable_dtype(arr)
+    if dtype is not None:
         reps = -(-(a.N + 1) // chi.q)
         factors = np.tile(np.asarray(chi.table, dtype=np.int8), reps)[:a.N + 1]
-        return ArithSequence(name, arr * factors, magnitude_bound=a.magnitude_bound)
+        return ArithSequence(name, arr.astype(dtype, copy=False) * factors,
+                             magnitude_bound=a.magnitude_bound)
     vals = [a.value(n) * chi.chi(n) for n in range(1, a.N + 1)]
     return ArithSequence(name, vals, magnitude_bound=a.magnitude_bound)
 
@@ -343,37 +368,54 @@ def floor_sum(a: ArithSequence, x) -> GaussianRational:
     return as_gaussian(total)
 
 
-_A2_CHUNK = 1 << 16
+_A2_BLOCK = 1 << 16
+_HALF = 27
+_EXP_BIAS = 1074    # frexp exponents of finite nonzero floats lie in [-1073, 1024]
 
 
-def _int_a2_terms(arr: np.ndarray):
-    """The floats int(arr[n]) / (n*n) for the n >= 1 with arr[n] != 0, in
-    ascending n, produced _A2_CHUNK at a time so no list of every term is built.
+def _int_a2(arr: np.ndarray) -> float:
+    """math.fsum of the floats int(arr[n]) / (n*n) over n >= 1: their exact
+    sum, correctly rounded, found without a Python float per term.
 
-    n*n <= MAX_SIEVE**2 < 2**53 is exact in float64, and so is every value of
-    magnitude <= 2**53; then the numpy quotient is the correctly rounded one
-    that Python's int / int gives.  Larger values take that division itself.
+    For n < 2**26, n*n is exact in float64, and so is every value of magnitude
+    <= 2**53; then the numpy quotient t is the correctly rounded one that
+    Python's int / int gives.  frexp writes a nonzero t as m * 2**(e - 53)
+    with an integer |m| < 2**53, split as hi * 2**27 + lo with |hi| <= 2**26
+    and 0 <= lo < 2**27, and np.bincount sums each half by e, _A2_BLOCK
+    entries at a time.  With fewer than 2**26 terms every partial sum of a bin
+    is an integer below 2**53, so the float bins are exact; they are joined
+    as Python ints and divided once.  Other arrays take Python's int / int
+    and math.fsum term by term.
     """
-    nz = np.flatnonzero(arr[1:])
-    nz += 1
-    exact = -(1 << 53) <= int(arr.min()) and int(arr.max()) <= 1 << 53
-    for i in range(0, nz.size, _A2_CHUNK):
-        k = nz[i:i + _A2_CHUNK]
-        if exact:
-            yield (arr[k] / (k.astype(np.float64) * k)).tolist()
-        else:
-            yield [v / (n * n) for v, n in zip(arr[k].tolist(), k.tolist())]
+    if not (arr.size <= 1 << 26 and -(1 << 53) <= int(arr.min())
+            and int(arr.max()) <= 1 << 53):
+        return math.fsum(v / (n * n) for n, v in enumerate(arr.tolist()) if n)
+    nbins = _EXP_BIAS + 1025
+    hi = np.zeros(nbins)
+    lo = np.zeros(nbins)
+    for start in range(1, arr.size, _A2_BLOCK):
+        block = arr[start:start + _A2_BLOCK]
+        k = np.flatnonzero(block)
+        n = (k + start).astype(np.float64)
+        frac, exp = np.frexp(block[k] / (n * n))
+        m = np.ldexp(frac, 53).astype(np.int64)
+        e = np.add(exp, _EXP_BIAS, dtype=np.intp)
+        hi += np.bincount(e, m >> _HALF, nbins)
+        lo += np.bincount(e, m & ((1 << _HALF) - 1), nbins)
+    total = sum(((int(h) << _HALF) + int(l)) << i
+                for i, (h, l) in enumerate(zip(hi.tolist(), lo.tolist())) if h or l)
+    return total / (1 << (_EXP_BIAS + 53))
 
 
 def _partial_a2(a: ArithSequence) -> complex:
     """Float partial sum of a(n)/n^2 over the stored range, ascending n.
 
-    math.fsum is correctly rounded, so dropping the zero terms of an
-    integer array does not change the sum.
+    math.fsum is correctly rounded, so an integer array may sum its terms
+    in any order and grouping that is exact.
     """
     arr = a.int_array()
     if arr is not None:
-        return complex(math.fsum(chain.from_iterable(_int_a2_terms(arr))))
+        return complex(_int_a2(arr))
     re = []
     im = []
     for n in range(1, a.N + 1):

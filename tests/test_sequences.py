@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,8 +17,8 @@ from errlab.decomposition import _unit_convolve
 from errlab.errors import (CapacityError, DomainError, FormatError, PrecisionError,
                            UncertifiableSeriesError)
 from errlab.exactnum import GaussianRational, as_gaussian
-from errlab.sequences import (MAX_SIEVE, ArithSequence, CharacterSpec, _partial_a2,
-                              convolve_id, floor_sum,
+from errlab.sequences import (_A2_BLOCK, _SIEVE_BLOCK, MAX_SIEVE, ArithSequence,
+                              CharacterSpec, _partial_a2, convolve_id, floor_sum,
                               is_fundamental_discriminant, kronecker_character,
                               kronecker_symbol, mobius_sieve, numeric_constants,
                               read_character_csv, read_sequence_csv, summatory,
@@ -42,6 +43,23 @@ class TestSieves:
     def test_mobius_against_per_prime_sieve(self):
         N = 10 ** 5
         assert np.array_equal(mobius_sieve(N).int_array(), mobius_per_prime_sieve(N))
+
+    @pytest.mark.parametrize("N", [_SIEVE_BLOCK - 1, _SIEVE_BLOCK, _SIEVE_BLOCK + 1,
+                                   _SIEVE_BLOCK + 2, 2 * _SIEVE_BLOCK + 1])
+    def test_mobius_block_edges(self, N):
+        # blocks start at m = 1, so N = k * block is the last entry of block k
+        mu = mobius_sieve(N).int_array()
+        assert mu.dtype == np.int8
+        assert np.array_equal(mu, mobius_per_prime_sieve(N))
+
+    def test_mobius_block_opening_on_a_square_multiple(self):
+        # the first block start 1 + k * block that some p^2 divides (9 | 8 * 2**18 + 1)
+        lo, p = next((lo, p) for lo in range(1 + _SIEVE_BLOCK, MAX_SIEVE, _SIEVE_BLOCK)
+                     for p in (3, 5, 7, 11, 13) if lo % (p * p) == 0)
+        N = lo + 2 * p * p
+        mu = mobius_sieve(N).int_array()
+        assert mu[lo] == 0 and mu.dtype == np.int8
+        assert np.array_equal(mu, mobius_per_prime_sieve(N))
 
     def test_mobius_prime_product_fits_int32(self):
         # mobius_sieve keeps the product of the small primes of m <= MAX_SIEVE
@@ -172,7 +190,7 @@ class TestTwistAndConvolution:
 
 
 def _int_backed(name, N):
-    """An int64-backed sequence: a sieve, or a sieve twisted by chi_D."""
+    """An integer-backed sequence: a sieve, or a sieve twisted by chi_D."""
     sieve = {"mu": mobius_sieve, "phi": totient_sieve}[name.split("*")[0]]
     seq = sieve(N)
     if "*" in name:
@@ -180,8 +198,66 @@ def _int_backed(name, N):
     return seq
 
 
+def _consumer_outputs(seq, chi):
+    """What every consumer of seq.int_array() makes of seq, as Python values."""
+    N = seq.N
+    t = twist(seq, chi)
+    b = convolve_id(seq)
+    points = [Fraction(k, 3) for k in range(3 * N + 1)]
+    return {
+        "value": [seq.value(n) for n in range(1, N + 1)],
+        "prefix_sum": [seq.prefix_sum(k) for k in range(N + 1)],
+        "convolve_id": [b.value(n) for n in range(1, N + 1)],
+        "_unit_convolve": [int(v) for v in _unit_convolve(seq, N)[1:]],
+        "twist": [t.value(n) for n in range(1, N + 1)],
+        "_partial_a2": _partial_a2(seq).real.hex(),
+        "_partial_a2 of twist": _partial_a2(t).real.hex(),
+        "floor_sum": [floor_sum(seq, x) for x in points],
+        "floor identity": [summatory_via_floor_identity(seq, x) for x in points],
+    }
+
+
+def _narrow_arrays():
+    """Narrow integer arrays (index 0 padding) whose values stress their dtype."""
+    rng = np.random.default_rng(7)
+    extremes = rng.choice([-128, 127, -1, 0, 1], size=61)
+    extremes[:4] = [0, 127, -128, -128]     # chi(2) = -1 for D = -3 and 5, chi(3) for -4
+    return {
+        "int8 extremes": extremes.astype(np.int8),
+        "int8 mu": mobius_sieve(60).int_array(),
+        "uint8": rng.choice([0, 1, 127, 128, 200, 255], size=61).astype(np.uint8),
+        "int16 extremes": rng.choice([-2 ** 15, 2 ** 15 - 1, -3, 0], size=61).astype(np.int16),
+    }
+
+
 class TestIntArrayPaths:
-    """The int64 fast paths against a list-backed copy and the oracles."""
+    """The integer-array fast paths against a list-backed copy, the oracles and
+    an int64-backed copy of a narrower array."""
+
+    @pytest.mark.parametrize("D", [-3, -4, 5])
+    @pytest.mark.parametrize("name", list(_narrow_arrays()))
+    def test_narrow_dtype_matches_int64(self, name, D):
+        arr = _narrow_arrays()[name]
+        narrow = ArithSequence("narrow", arr)
+        wide = ArithSequence("wide", arr.astype(np.int64))
+        assert narrow.int_array().dtype == arr.dtype
+        chi = kronecker_character(D)
+        got, expect = _consumer_outputs(narrow, chi), _consumer_outputs(wide, chi)
+        for key in expect:
+            assert got[key] == expect[key], key
+        assert expect["twist"] == [int(arr[n]) * chi.chi(n) for n in range(1, len(arr))]
+
+    def test_twist_keeps_int8_and_widens_only_past_negation(self):
+        chi = kronecker_character(-3)
+        assert twist(mobius_sieve(100), chi).int_array().dtype == np.int8
+        assert twist(ArithSequence("s", np.array([0, 1, -127], dtype=np.int8)),
+                     chi).int_array().dtype == np.int8
+        low = ArithSequence("s", np.array([0, 1, -128], dtype=np.int8))
+        assert twist(low, chi).value(2) == 128
+        # -min(int64) needs Python ints
+        top = np.iinfo(np.int64)
+        edge = ArithSequence("s", np.array([0, top.max, top.min], dtype=np.int64))
+        assert [twist(edge, chi).value(n) for n in (1, 2)] == [top.max, -top.min]
 
     @pytest.mark.parametrize("N", [1, 2, 95, 100, 300])
     @pytest.mark.parametrize("name", ["mu", "phi"] + [f"{s}*{D}" for s in ("mu", "phi")
@@ -336,6 +412,44 @@ class TestNumericConstants:
             arr = seq.int_array()
             expect = math.fsum([int(arr[n]) / (n * n) for n in range(1, seq.N + 1)])
             assert _partial_a2(seq).real.hex() == expect.hex(), seq
+
+    @settings(max_examples=80, deadline=None)
+    @given(dtype=st.sampled_from([np.int8, np.int64]),
+           N=st.integers(1, 300) | st.sampled_from([_A2_BLOCK - 1, _A2_BLOCK, _A2_BLOCK + 1,
+                                                    2 * _A2_BLOCK + 3]),
+           bits=st.integers(0, 53), density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_partial_a2_kernel_against_fsum(self, dtype, N, bits, density, seed):
+        rng = np.random.default_rng(seed)
+        info = np.iinfo(dtype)
+        low, high = max(-(2 ** bits), info.min), min(2 ** bits, info.max)
+        vals = rng.integers(low, high, size=N, endpoint=True)
+        vals[rng.random(N) < 0.05] = low
+        vals[rng.random(N) < 0.05] = high
+        vals[rng.random(N) >= density] = 0
+        arr = np.concatenate(([0], vals)).astype(dtype)
+        expect = math.fsum([int(arr[n]) / (n * n) for n in range(1, N + 1)])
+        assert _partial_a2(ArithSequence("r", arr)).real.hex() == expect.hex()
+
+    @pytest.mark.parametrize("tail", [4, 12, -4, -12, 0])
+    def test_partial_a2_kernel_rounds_ties_to_even(self, tail):
+        # 2**53 + 1 and 2**53 + 3 lie halfway between two floats; below 2**53 the
+        # sum is exact
+        arr = np.array([0, 2 ** 53, tail], dtype=np.int64)
+        assert _partial_a2(ArithSequence("tie", arr)).real == \
+            math.fsum([2.0 ** 53, tail / 4])
+
+    def test_certified_constants_memory(self):
+        # no array wider than int8 spans the 10^7-term range (about 160 MB
+        # when the sieve, its twist and the nonzero indices were int64)
+        chi = kronecker_character(-3)
+        tracemalloc.start()
+        try:
+            numeric_constants(twist(mobius_sieve(10 ** 7), chi), chi, 1e-7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 10 ** 6, peak
 
     def test_missing_bound_errors(self):
         bare = ArithSequence("bare", [1, 2, 3])
