@@ -14,15 +14,14 @@ whole grid; that constant-slope gap is the computable face of "the family
 from fractions import Fraction
 
 from errlab import (LogCaseError, Side, build_error_term, build_fracpart_series,
-                    make_case, mobius_sieve, monomial, residual, resolvent_apply,
-                    resolvent_function)
+                    make_case, mobius_sieve, monomial, residual, resolvent_function)
 
 print("=" * 72)
 print("1. Toy input E(t) = t^2")
 print("=" * 72)
-toy = monomial(4, 2)
+toy = resolvent_function(monomial(4, 2))
 for x in (Fraction(1, 2), 1, 2, 3):
-    print(f"  F({x}) = {resolvent_apply(toy, Fraction(x))}   (expected 2 x^2)")
+    print(f"  F({x}) = {toy.eval_at(x, Side.RIGHT)}   (expected 2 x^2)")
 
 print()
 print("=" * 72)
@@ -45,6 +44,6 @@ print("=" * 72)
 print("3. Inadmissible input E(t) = t")
 print("=" * 72)
 try:
-    resolvent_apply(monomial(2, 1), 1)
+    resolvent_function(monomial(2, 1))
 except LogCaseError as exc:
     print(f"  rejected: {exc}")

@@ -19,7 +19,7 @@ print("1. Twisted split for the character of discriminant -3")
 print("=" * 72)
 chi = kronecker_character(-3)
 print(f"  character table mod {chi.q}: {chi.table}")
-tc = twisted_case(chi, make_case(twist(mobius_sieve(40), chi), 40))
+tc = twisted_case(make_case(twist(mobius_sieve(40), chi), 40))
 for x in (Fraction(1, 2), Fraction(7, 2), 5, 12):
     ar, an, res = decompose(tc, Fraction(x))
     print(f"  x = {str(x):5s} E_AR = {ar}")

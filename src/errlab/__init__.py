@@ -19,11 +19,10 @@ from .sequences import (ArithSequence, CharacterSpec, convolve_id, floor_sum,
                         summatory, summatory_via_floor_identity, totient_sieve, twist)
 from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
                        homogeneous_function, homogeneous_residual, make_case,
-                       remainder_integral_residual, residual, resolvent_apply,
-                       resolvent_function, solution_family)
+                       remainder_integral_residual, residual, resolvent_function,
+                       solution_family)
 from .decomposition import (DecompositionCase, build_fracsquare_series, decompose,
-                            generic_case, growth_max_ratio, sawtooth, split_at,
-                            trivial_character_relations, twisted_case, untwisted_case,
-                            verify_suites)
+                            growth_max_ratio, split_at, trivial_character_relations,
+                            twisted_case, untwisted_case, verify_suites)
 
 __version__ = "0.1.0"

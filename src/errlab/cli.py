@@ -24,7 +24,7 @@ from .decomposition import (FROZEN_GROWTH_MAX, growth_max_ratio, split_at,
 from .errors import (CapacityError, DivergentAtZeroError, DomainError, FormatError,
                      LogCaseError, PrecisionError, UncertifiableSeriesError)
 from .exactnum import GaussianRational, parse_rational
-from .piecewise import PiecewiseLaurent, Side
+from .piecewise import PiecewiseLaurent
 from .report import VerificationReport
 from .sequences import (MAX_SIEVE, ArithSequence, CharacterSpec,
                         kronecker_character, mobius_sieve, numeric_constants,
@@ -170,12 +170,12 @@ def _load_to_X(cfg: RunConfig):
     return _load_sequences(cfg, math.ceil(cfg.X))
 
 
-def _split_for(kind: str, chi, case):
+def _split_for(kind: str, case):
     """The split of a --seq kind: plain for mu, twisted for mu_chi, else None."""
     if kind == "mu":
         return untwisted_case(case)
     if kind == "mu_chi":
-        return twisted_case(chi, case)
+        return twisted_case(case)
     return None
 
 
@@ -198,8 +198,7 @@ def _run_verify(cfg: RunConfig) -> VerificationReport:
     if not cfg.x_explicit and cfg.X > a.N:
         cfg.X = Fraction(a.N)
     case = make_case(a, cfg.X, 0, b=b_override)
-    report = verify_suites(case, cfg.grid_denominator, cfg.A_list,
-                           _split_for(kind, chi, case))
+    report = verify_suites(case, cfg.grid_denominator, cfg.A_list, _split_for(kind, case))
     # the frozen maxima cover mu and mu_chi at D = -3
     key = kind if kind == "mu" else f"{kind}_{cfg.discriminant}"
     if cfg.mode == "numeric" and key in FROZEN_GROWTH_MAX:
@@ -242,7 +241,7 @@ def cmd_table(cfg: RunConfig) -> int:
     if kind == "file":
         raise FormatError("table supports --seq mu and mu_chi (the split is "
                           "defined for those cases)")
-    dc = _split_for(kind, chi, make_case(a, cfg.X))
+    dc = _split_for(kind, make_case(a, cfg.X))
     numeric = cfg.mode == "numeric"
     if numeric:
         a2, a1, (b2, b1) = _constants_for_table(cfg, chi)
@@ -275,24 +274,29 @@ def cmd_solve(cfg: RunConfig) -> int:
     with open(cfg.input_path) as fh:
         E = PiecewiseLaurent.loads(fh.read())
     end = min(cfg.X, E.X) if cfg.x_explicit else E.X
-    F = resolvent_function(E, A)
+    top = math.floor(end * cfg.grid_denominator)
+    if top < 1:
+        raise DomainError(f"the grid k/{cfg.grid_denominator} on (0, {end}] is empty")
     numeric = cfg.mode == "numeric"
-    if numeric:
-        a2 = a1 = 0.0  # user data has no attached series constants
+    if numeric and not all(c.is_scalar() for p in E.pieces for c in p.values()):
+        # user data has no attached series constants to evaluate A2, A1 at
+        raise FormatError("numeric solve needs a dump without A2 or A1 terms")
+    F = resolvent_function(E, A)
 
     ok = True
     with _output(cfg) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "F", "residual", "exact_zero"])
-        for k in range(1, math.floor(end * cfg.grid_denominator) + 1):
+        for k in range(1, top + 1):
             x = Fraction(k, cfg.grid_denominator)
-            val = F.eval_at(x, Side.RIGHT)
+            val = F.eval_at(x)   # POINT, as residual: the last piece at an open end
             res = residual(F, E, x)
             zero = res.is_zero()
             ok = ok and zero
             if numeric:
-                writer.writerow([repr(float(x)), repr(val.numeric(a2, a1).real),
-                                 repr(res.numeric(a2, a1).real), "true" if zero else "false"])
+                writer.writerow([repr(float(x)), repr(val.numeric(0.0, 0.0).real),
+                                 repr(res.numeric(0.0, 0.0).real),
+                                 "true" if zero else "false"])
             else:
                 writer.writerow([str(x), val.to_text(), res.to_text(),
                                  "true" if zero else "false"])

@@ -46,20 +46,19 @@ from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational, as_gaussian
 from .piecewise import PiecewiseLaurent, Side
 from .report import VerificationReport
-from .sequences import (ArithSequence, CharacterSpec, _partial_a2, convolve_id, floor_sum,
-                        mobius_sieve, summatory, summatory_via_floor_identity, twist)
+from .sequences import (ArithSequence, CharacterSpec, _divisor_pass, _partial_a2,
+                        convolve_id, floor_sum, mobius_sieve, summatory,
+                        summatory_via_floor_identity, twist)
 from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
                        homogeneous_function, homogeneous_residual,
                        remainder_integral_residual, residual, resolvent_function,
                        solution_family)
 
 __all__ = [
-    "sawtooth",
     "build_fracsquare_series",
     "DecompositionCase",
     "untwisted_case",
     "twisted_case",
-    "generic_case",
     "split_at",
     "decompose",
     "trivial_character_relations",
@@ -71,40 +70,12 @@ __all__ = [
 ]
 
 
-def sawtooth(x) -> Fraction:
-    """1/2 - {x} away from integers, 0 at integers."""
-    x = Fraction(x)
-    if x < 0:
-        raise DomainError("requires x >= 0")
-    if x.denominator == 1:
-        return Fraction(0)
-    return Fraction(1, 2) - (x - math.floor(x))
-
-
 def _a1_form(a: ArithSequence) -> ConstLinear:
     """The A1 handle of a sequence: its declared exact value when known,
     else the symbolic constant."""
     if a.known_A1 is not None:
         return ConstLinear(a.known_A1)
     return ConstLinear.a1(1)
-
-
-def _unit_convolve(a: ArithSequence, upto: int):
-    """u(n) = sum_{d|n} a(d) for n <= upto; index 0 is padding."""
-    arr = a.int_array()
-    if arr is not None:
-        out = np.zeros(upto + 1, dtype=np.int64)
-        for d in range(1, upto + 1):
-            v = int(arr[d])
-            if v:
-                out[d::d] += v
-        return out
-    out = [0] * (upto + 1)
-    for d in range(1, upto + 1):
-        v = a.value(d)
-        for m in range(d, upto + 1, d):
-            out[m] = out[m] + v
-    return out
 
 
 def build_fracsquare_series(case: VolterraCase, twisted: bool = False) -> PiecewiseLaurent:
@@ -124,7 +95,7 @@ def build_fracsquare_series(case: VolterraCase, twisted: bool = False) -> Piecew
     is right-continuous.
     """
     kmax = math.floor(case.X)
-    u = None if twisted else _unit_convolve(case.a, kmax)
+    u = None if twisted else _divisor_pass(case.a, np.ones(kmax + 1, dtype=np.int64))
     quad = ConstLinear.a2(1)
     a1_handle = _a1_form(case.a)
     pieces = []
@@ -148,12 +119,10 @@ def build_fracsquare_series(case: VolterraCase, twisted: bool = False) -> Piecew
 class DecompositionCase:
     """Error term with its arithmetic and analytic parts as functions."""
 
-    kind: str                    # "untwisted" | "twisted" | "generic"
-    X: Fraction
+    kind: str                    # "untwisted" | "twisted"
     error: PiecewiseLaurent
-    arithmetic_series: PiecewiseLaurent           # f: E_AR(x) = x * f(x)
-    analytic_part: Optional[PiecewiseLaurent]     # E_AN as a function, when defined
-    chi: Optional[CharacterSpec] = None
+    arithmetic_series: PiecewiseLaurent   # f: E_AR(x) = x * f(x)
+    analytic_part: PiecewiseLaurent       # E_AN as a function
 
 
 def untwisted_case(case: VolterraCase) -> DecompositionCase:
@@ -164,7 +133,7 @@ def untwisted_case(case: VolterraCase) -> DecompositionCase:
     pieces = [{e: c * Fraction(1, 2) for e, c in p.items()} for p in g.pieces]
     for p in pieces:
         p[0] = p.get(0, ConstLinear.zero()) + half
-    return DecompositionCase("untwisted", case.X, build_error_term(case),
+    return DecompositionCase("untwisted", build_error_term(case),
                              build_fracpart_series(case), PiecewiseLaurent(case.X, pieces))
 
 
@@ -181,20 +150,14 @@ def _plus_half_a1(h: PiecewiseLaurent, a: ArithSequence) -> PiecewiseLaurent:
                                   for p in h.pieces])
 
 
-def twisted_case(chi: CharacterSpec, case: VolterraCase) -> DecompositionCase:
+def twisted_case(case: VolterraCase) -> DecompositionCase:
     """The decomposition on [0, X] of a case whose sequence is the Moebius
-    function twisted by chi."""
+    function twisted by a real non-principal character."""
     f = _plus_half_a1(build_fracpart_series(case), case.a)
     g = build_fracsquare_series(case, twisted=True)
     an = PiecewiseLaurent(case.X, [{e: c * Fraction(1, 2) for e, c in p.items()}
                                    for p in g.pieces])
-    return DecompositionCase("twisted", case.X, build_error_term(case), f, an, chi=chi)
-
-
-def generic_case(case: VolterraCase) -> DecompositionCase:
-    """Arithmetic part only; no analytic-part claim for a general sequence."""
-    return DecompositionCase("generic", case.X, build_error_term(case),
-                             build_fracpart_series(case), None)
+    return DecompositionCase("twisted", build_error_term(case), f, an)
 
 
 def _side_for(case: DecompositionCase, x: Fraction) -> Side:
@@ -206,15 +169,14 @@ def _side_for(case: DecompositionCase, x: Fraction) -> Side:
 def split_at(case: DecompositionCase, x):
     """Exact (E, E_AR, E_AN) at x, with no domain check.
 
-    Integers take right limits in the plain and generic cases and midpoint
-    values (x > 0) in the twisted one.  E_AN is None for a generic case.
+    Integers take right limits in the plain case and midpoint values (x > 0)
+    in the twisted one.
     """
     if type(x) is not Fraction:
         x = Fraction(x)
     side = _side_for(case, x)
-    e_ar = case.arithmetic_series.eval_at(x, side) * x
-    e_an = None if case.analytic_part is None else case.analytic_part.eval_at(x, side)
-    return case.error.eval_at(x, side), e_ar, e_an
+    return (case.error.eval_at(x, side), case.arithmetic_series.eval_at(x, side) * x,
+            case.analytic_part.eval_at(x, side))
 
 
 def _split_start(case: DecompositionCase) -> int:
@@ -227,17 +189,15 @@ def decompose(case: DecompositionCase, x):
 
     The plain decomposition is only claimed for x >= 1 (below 1 it misses by
     the constant 1/2); the twisted one holds for all x >= 0 with midpoint
-    values at integers.  A generic case yields the arithmetic part alone and
-    (None, None) for the rest.
+    values at integers.
     """
     x = Fraction(x)
     start = _split_start(case)
-    if x < start or x > case.X:
-        raise DomainError(f"point {x} outside [{start}, {case.X}], "
+    X = case.error.X
+    if x < start or x > X:
+        raise DomainError(f"point {x} outside [{start}, {X}], "
                           f"where the {case.kind} decomposition is stated")
     e, e_ar, e_an = split_at(case, x)
-    if e_an is None:
-        return e_ar, None, None
     return e_ar, e_an, e - e_ar - e_an
 
 
@@ -302,14 +262,13 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
             report.add(tag, x, residual(F, E, x))
 
     for x in grid:
-        report.add("remainder_integral", x,
-                   remainder_integral_residual(case, x, E=E, h=h))
+        report.add("remainder_integral", x, remainder_integral_residual(E, h, x))
 
     for A in (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)):
         tag = f"homogeneous[A={A.to_text()}]"
         G = homogeneous_function(A, X)
         for x in grid:
-            report.add(tag, x, homogeneous_residual(A, x, G=G))
+            report.add(tag, x, homogeneous_residual(G, x))
 
     resolvent = resolvent_function(E, 0)
     for x in grid:
@@ -332,7 +291,7 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
         r_left = E.eval_at(n, Side.LEFT) - h.eval_at(n, Side.LEFT) * n
         report.add(f"remainder_continuity[{n}]", n, r_right - r_left)
 
-    if split is not None and split.analytic_part is not None:
+    if split is not None:
         start = _split_start(split)
         for x in points:
             if x >= start:
@@ -359,27 +318,25 @@ FROZEN_GROWTH_MAX = {
 }
 
 
-def growth_max_ratio(chi: Optional[CharacterSpec] = None,
-                     end: int = GROWTH_SAMPLE_END,
-                     step: int = GROWTH_SAMPLE_STEP) -> float:
-    """max over x in {step, 2 step, .., end} of |E(x)| / (x log x), in floats.
+def growth_max_ratio(chi: Optional[CharacterSpec] = None) -> float:
+    """max over x in {step, 2 step, .., end} of |E(x)| / (x log x), in floats,
+    with step = GROWTH_SAMPLE_STEP and end = GROWTH_SAMPLE_END.
 
     Deterministic by construction: the summatory values are exact integers,
     the numeric A2 is the fsum partial sum of a(n)/n^2 over n <= end in
     ascending order, and the untwisted/twisted conventions are the
     right-continuous and midpoint values.
     """
-    a = mobius_sieve(end)
+    a = mobius_sieve(GROWTH_SAMPLE_END)
     if chi is not None:
         a = twist(a, chi)
-    arr = convolve_id(a).int_array()
-    csum = np.cumsum(arr[1:], dtype=np.int64)
+    b = convolve_id(a)
     a2 = _partial_a2(a).real
     best = 0.0
-    for x in range(step, end + 1, step):
-        s = float(csum[x - 1])
+    for x in range(GROWTH_SAMPLE_STEP, GROWTH_SAMPLE_END + 1, GROWTH_SAMPLE_STEP):
+        s = float(b.prefix_sum(x))
         if chi is not None:
-            s -= 0.5 * float(arr[x])   # midpoint value at the integer x
+            s -= 0.5 * float(b.value(x))   # midpoint value at the integer x
         e = s - 0.5 * a2 * (float(x) * float(x))
         ratio = abs(e) / (x * math.log(x))
         if ratio > best:

@@ -297,18 +297,15 @@ def shift_exponent(f: PiecewiseLaurent, by: int) -> PiecewiseLaurent:
     return PiecewiseLaurent(f.X, pieces, weighted_integrand=weighted)
 
 
-def constant_function(X, value=1, npieces: Optional[int] = None) -> PiecewiseLaurent:
+def constant_function(X, value=1) -> PiecewiseLaurent:
     X = Fraction(X)
-    n = _full_pieces(X) if npieces is None else npieces
     c = value if isinstance(value, ConstLinear) else ConstLinear.scalar(value)
-    return PiecewiseLaurent(X, [{0: c} for _ in range(n)])
+    return PiecewiseLaurent(X, [{0: c} for _ in range(_full_pieces(X))])
 
 
-def monomial(X, exponent: int, coeff=1, npieces: Optional[int] = None) -> PiecewiseLaurent:
+def monomial(X, exponent: int, coeff=1) -> PiecewiseLaurent:
     """c * t^exponent on all of (0, X]."""
     X = Fraction(X)
-    n = _full_pieces(X) if npieces is None else npieces
     c = coeff if isinstance(coeff, ConstLinear) else ConstLinear.scalar(coeff)
-    weighted = exponent < 0
-    return PiecewiseLaurent(X, [{exponent: c} for _ in range(n)],
-                            weighted_integrand=weighted)
+    return PiecewiseLaurent(X, [{exponent: c} for _ in range(_full_pieces(X))],
+                            weighted_integrand=exponent < 0)

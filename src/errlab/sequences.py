@@ -295,27 +295,36 @@ def twist(a: ArithSequence, chi: CharacterSpec) -> ArithSequence:
     return ArithSequence(name, vals, magnitude_bound=a.magnitude_bound)
 
 
-def convolve_id(a: ArithSequence) -> ArithSequence:
-    """b(n) = sum_{d|n} a(d) * (n/d) for n <= a.N, by divisor passes."""
-    n = a.N
+def _divisor_pass(a: ArithSequence, w: np.ndarray):
+    """out[m] = sum_{d|m} a(d) * w[m/d] for 1 <= m < len(w); index 0 is padding.
+
+    w is an int64 weight array indexed by the cofactor m/d (w[0] is unused):
+    the cofactors themselves give convolve_id, ones give the unit sum.
+    """
+    upto = len(w) - 1
     arr = a.int_array()
     if arr is not None:
-        out = np.zeros(n + 1, dtype=np.int64)
-        for d in range(1, n + 1):
+        out = np.zeros(upto + 1, dtype=np.int64)
+        for d in range(1, upto + 1):
             v = int(arr[d])
             if v:
-                out[d::d] += v * np.arange(1, n // d + 1, dtype=np.int64)
-        return ArithSequence(f"({a.name})*Id", out)
-    out = [0] * (n + 1)
-    for d in range(1, n + 1):
+                out[d::d] += v * w[1:upto // d + 1]
+        return out
+    w = w.tolist()
+    out = [0] * (upto + 1)
+    for d in range(1, upto + 1):
         v = a.value(d)
-        if isinstance(v, GaussianRational) and v.is_zero():
+        if not v:
             continue
-        if not isinstance(v, GaussianRational) and not v:
-            continue
-        for q, m in enumerate(range(d, n + 1, d), start=1):
-            out[m] = out[m] + v * q
-    return ArithSequence(f"({a.name})*Id", out[1:])
+        for q, m in enumerate(range(d, upto + 1, d), start=1):
+            out[m] = out[m] + v * w[q]
+    return out
+
+
+def convolve_id(a: ArithSequence) -> ArithSequence:
+    """b(n) = sum_{d|n} a(d) * (n/d) for n <= a.N, by divisor passes."""
+    out = _divisor_pass(a, np.arange(a.N + 1, dtype=np.int64))
+    return ArithSequence(f"({a.name})*Id", out if a.int_array() is not None else out[1:])
 
 
 def summatory(b: ArithSequence, x) -> GaussianRational:

@@ -40,7 +40,6 @@ __all__ = [
     "homogeneous_function",
     "homogeneous_residual",
     "resolvent_function",
-    "resolvent_apply",
 ]
 
 
@@ -119,40 +118,34 @@ def build_fracpart_series(case: VolterraCase) -> PiecewiseLaurent:
 def solution_family(case: VolterraCase) -> PiecewiseLaurent:
     """F(x) = (h(x) + A) x for the case's free constant A; F(0) = 0."""
     h = build_fracpart_series(case)
-    ones = constant_function(case.X, 1, npieces=h.npieces)
+    ones = constant_function(case.X, 1)
     return shift_exponent(combine(h, ones, 1, case.A), 1)
 
 
-def residual(F: PiecewiseLaurent, E: PiecewiseLaurent, x,
-             side: Side = Side.RIGHT) -> ConstLinear:
+def residual(F: PiecewiseLaurent, E: PiecewiseLaurent, x) -> ConstLinear:
     """F(x) - integral_0^x F(t)/t dt - E(x), exact.
 
-    Zero exactly when the integral equation holds at x.  Breakpoint values
-    default to right limits, matching the right-continuous error term; pass
-    Side.MIDPOINT for midpoint-normalized data.
+    Zero exactly when the integral equation holds at x.  Values are taken by
+    Side.POINT: right limits at interior breakpoints, matching the
+    right-continuous error term, and the last piece at an uncovered domain
+    end.
     """
     x = Fraction(x)
-    return F.eval_at(x, side) - F.integrate(x, "1/t") - E.eval_at(x, side)
+    return F.eval_at(x) - F.integrate(x, "1/t") - E.eval_at(x)
 
 
-def remainder_integral_residual(case: VolterraCase, x,
-                                E: Optional[PiecewiseLaurent] = None,
-                                h: Optional[PiecewiseLaurent] = None) -> ConstLinear:
+def remainder_integral_residual(E: PiecewiseLaurent, h: PiecewiseLaurent, x) -> ConstLinear:
     """Residual of the identity Er(x) - x h(x) = -integral_0^x h(t) dt.
 
+    E and h are build_error_term and build_fracpart_series of one case.
     Returns (Er(x) - x h(x)) + integral_0^x h, which is exactly zero for
     every positive x; x = 0 returns zero by the convention Er(0) = 0.
-    Prebuilt E and h may be passed to amortize construction over a grid.
     """
     x = Fraction(x)
     if x < 0:
         raise DomainError("requires x >= 0")
     if x == 0:
         return ConstLinear.zero()
-    if E is None:
-        E = build_error_term(case)
-    if h is None:
-        h = build_fracpart_series(case)
     r = E.eval_at(x, Side.RIGHT) - h.eval_at(x, Side.RIGHT) * x
     return r + h.integrate(x, "1")
 
@@ -162,22 +155,18 @@ def homogeneous_function(A, X) -> PiecewiseLaurent:
     return monomial(max(Fraction(X), 1), 1, as_gaussian(A))
 
 
-def homogeneous_residual(A, x, G: Optional[PiecewiseLaurent] = None) -> ConstLinear:
-    """Residual of G(x) = A x in G(x) - integral_0^x G(t)/t dt = 0.
+def homogeneous_residual(G: PiecewiseLaurent, x) -> ConstLinear:
+    """Residual of G(x) - integral_0^x G(t)/t dt = 0.
 
-    Always exactly zero; exercised as a regression guard on the kernel
-    integration path.  A prebuilt G = homogeneous_function(A, X) with X >= x
-    may be passed to amortize construction over a grid; without one, G is
-    built over [0, max(x, 1)].
+    G is homogeneous_function(A, X), so the residual is always exactly zero;
+    exercised as a regression guard on the kernel integration path.  x = 0
+    returns zero; x beyond G.X raises DomainError.
     """
     x = Fraction(x)
     if x < 0:
         raise DomainError("requires x >= 0")
-    A = as_gaussian(A)
     if x == 0:
         return ConstLinear.zero()
-    if G is None:
-        G = homogeneous_function(A, x)
     return G.eval_at(x, Side.RIGHT) - G.integrate(x, "1/t")
 
 
@@ -201,9 +190,3 @@ def resolvent_function(E: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
         pieces.append(out)
     return PiecewiseLaurent(E.X, pieces)
 
-
-def resolvent_apply(E: PiecewiseLaurent, x, A=0) -> ConstLinear:
-    """Value E(x) + x * integral_0^x E(t)/t^2 dt + A x, exact."""
-    x = Fraction(x)
-    A = as_gaussian(A)
-    return E.eval_at(x, Side.RIGHT) + E.integrate(x, "1/t^2") * x + ConstLinear(A) * x

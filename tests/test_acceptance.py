@@ -23,7 +23,7 @@ from errlab.piecewise import Side, monomial
 from errlab.sequences import (convolve_id, kronecker_character, mobius_sieve,
                               numeric_constants, summatory, summatory_via_floor_identity,
                               totient_sieve, twist)
-from errlab.volterra import build_fracpart_series, make_case, resolvent_apply
+from errlab.volterra import build_fracpart_series, make_case, resolvent_function
 
 X_MAIN = 200
 A_VALUES = [GaussianRational(0), GaussianRational(1), GaussianRational(-2),
@@ -99,12 +99,12 @@ def test_criterion_3_homogeneous_and_uniqueness_surrogate():
 def test_criterion_4_resolvent_suite():
     solve_ok = exact("resolvent", 600)
 
-    toy = monomial(3, 2)
-    toy_ok = all(resolvent_apply(toy, x) == ConstLinear.scalar(2 * Fraction(x) ** 2)
+    toy = resolvent_function(monomial(3, 2))
+    toy_ok = all(toy.eval_at(x, Side.RIGHT) == ConstLinear.scalar(2 * Fraction(x) ** 2)
                  for x in (Fraction(1, 2), 1, 2, Fraction(5, 2)))
 
     try:
-        resolvent_apply(monomial(3, 1), 1)
+        resolvent_function(monomial(3, 1)).eval_at(1, Side.RIGHT)
         log_ok = False
     except LogCaseError:
         log_ok = True
@@ -122,7 +122,7 @@ def test_criterion_5_decomposition_suites():
     twisted_ok = True
     for d in (-3, -4):
         chi = kronecker_character(d)
-        tc = twisted_case(chi, make_case(twist(mobius_sieve(100), chi), 100))
+        tc = twisted_case(make_case(twist(mobius_sieve(100), chi), 100))
         for k in range(0, 301):
             twisted_ok = twisted_ok and decompose(tc, Fraction(k, 3))[2].is_zero()
 

@@ -329,6 +329,39 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:") and "1/0" in err
 
+    def test_dump_without_domain_end_line(self, tmp_path, capsys):
+        # X defaults to the piece count, so x = 2 has no right limit: the F
+        # column takes the last piece there, as residual does
+        dump = tmp_path / "e.dump"
+        dump.write_text("0: e2=1/1 + 0/1*A2 + 0/1*A1\n1: e2=1/1 + 0/1*A2 + 0/1*A1\n")
+        out = tmp_path / "f.csv"
+        code, _, _ = run(["solve", "--input", str(dump), "-o", str(out)], capsys)
+        assert code == 0
+        rows = rows_of(out)
+        assert rows[-1] == ["2", "8/1 + 0/1*A2 + 0/1*A1", "0/1 + 0/1*A2 + 0/1*A1", "true"]
+        assert len(rows) == 1 + 6
+
+    def test_numeric_needs_scalar_dump(self, tmp_path, capsys):
+        from errlab.volterra import build_error_term, make_case
+        dump = tmp_path / "er.dump"
+        dump.write_text(build_error_term(make_case(mobius_sieve(10), 10)).dumps())
+        code, _, err = run(["solve", "--input", str(dump), "--mode", "numeric"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "A2 or A1" in err
+        dump.write_text(monomial(3, 2).dumps())
+        out = tmp_path / "f.csv"
+        code, _, _ = run(["solve", "--input", str(dump), "--mode", "numeric", "--X", "2",
+                          "--denom", "2", "-o", str(out)], capsys)
+        assert code == 0
+        assert rows_of(out)[-1] == ["2.0", "8.0", "0.0", "true"]
+
+    def test_empty_grid_exits_2(self, tmp_path, capsys):
+        dump = tmp_path / "e.dump"
+        dump.write_text(monomial(3, 2).dumps())
+        code, out, err = run(["solve", "--input", str(dump), "--X", "1/7"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "k/3" in err and "1/7" in err
+
 
 class TestSieve:
     def test_sequence_roundtrip(self, tmp_path, capsys):

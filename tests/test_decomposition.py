@@ -7,19 +7,17 @@ import pytest
 
 from conftest import frac_part, sawtooth_oracle
 from errlab.decomposition import (FROZEN_GROWTH_MAX, build_fracsquare_series,
-                                  decompose, generic_case, growth_max_ratio, sawtooth,
-                                  split_at, trivial_character_relations, twisted_case,
+                                  decompose, growth_max_ratio, split_at,
+                                  trivial_character_relations, twisted_case,
                                   untwisted_case)
 from errlab.errors import DomainError
 from errlab.exactnum import ConstLinear, GaussianRational, as_gaussian
 from errlab.piecewise import Side
-from errlab.sequences import (ArithSequence, CharacterSpec, kronecker_character,
-                              mobius_sieve, twist)
+from errlab.sequences import kronecker_character, mobius_sieve, twist
 from errlab.volterra import build_fracpart_series, make_case
 
 A2 = ConstLinear.a2
 A1 = ConstLinear.a1
-TRIVIAL = CharacterSpec(1, (1,))
 
 
 def case_of(a, X=None):
@@ -31,26 +29,12 @@ def plain(X):
 
 
 def twisted(chi, X):
-    return twisted_case(chi, case_of(twist(mobius_sieve(X), chi)))
+    return twisted_case(case_of(twist(mobius_sieve(X), chi)))
 
 
 def sawtooth_series(chi, X):
     """f(x, chi) = sum (mu(d)chi(d)/d) s(x/d), the twisted arithmetic series."""
     return twisted(chi, X).arithmetic_series
-
-
-class TestSawtooth:
-    def test_examples(self):
-        assert sawtooth(Fraction(1, 3)) == Fraction(1, 6)
-        assert sawtooth(2) == 0
-        assert sawtooth(Fraction(7, 4)) == Fraction(-1, 4)
-        with pytest.raises(DomainError):
-            sawtooth(-1)
-
-    def test_matches_oracle_on_grid(self):
-        for k in range(0, 120):
-            x = Fraction(k, 7)
-            assert sawtooth(x) == sawtooth_oracle(x)
 
 
 class TestFracsquareSeries:
@@ -124,7 +108,8 @@ class TestSawtoothSeries:
             p1 = GaussianRational(0)
             p2 = GaussianRational(0)
             for n in range(1, x + 1):
-                finite = finite + as_gaussian(a.value(n)) * sawtooth(Fraction(x, n)) / n
+                s = sawtooth_oracle(Fraction(x, n))
+                finite = finite + as_gaussian(a.value(n)) * s / n
                 p1 = p1 + as_gaussian(a.value(n)) / n
                 p2 = p2 + as_gaussian(a.value(n)) / (n * n)
             expect = (ConstLinear(finite)
@@ -144,7 +129,7 @@ class TestSawtoothSeries:
 
     def test_mobius_known_a1_folds_to_fracpart_series(self):
         case = case_of(mobius_sieve(20))
-        f = twisted_case(TRIVIAL, case).arithmetic_series
+        f = twisted_case(case).arithmetic_series
         h = build_fracpart_series(case)
         assert f.eval_at(Fraction(7, 3)) == h.eval_at(Fraction(7, 3))
 
@@ -208,15 +193,6 @@ class TestDecompose:
             ar = decompose(dc, x)[0]
             assert ar - h.eval_at(x) * x == A1(Fraction(1, 2) * x), x
 
-    def test_generic_case_arithmetic_only(self):
-        a = ArithSequence("g", [1, Fraction(1, 3), -2, 0, 1],
-                          magnitude_bound=Fraction(2))
-        dc = generic_case(case_of(a))
-        ar, an, res = decompose(dc, Fraction(7, 2))
-        assert an is None and res is None
-        h = build_fracpart_series(case_of(a))
-        assert ar == h.eval_at(Fraction(7, 2)) * Fraction(7, 2)
-
 
 class TestTrivialCharacter:
     def test_relations_hold(self):
@@ -240,8 +216,8 @@ class TestTrivialCharacter:
 
 class TestGrowth:
     def test_frozen_constants_reproduce(self):
-        assert growth_max_ratio(end=10_000) == FROZEN_GROWTH_MAX["mu"]
-        assert growth_max_ratio(kronecker_character(-3), end=10_000) == \
+        assert growth_max_ratio() == FROZEN_GROWTH_MAX["mu"]
+        assert growth_max_ratio(kronecker_character(-3)) == \
             FROZEN_GROWTH_MAX["mu_chi_-3"]
 
     def test_values_are_sane(self):

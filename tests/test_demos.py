@@ -1,0 +1,32 @@
+"""The walkthroughs in demos/ print fixed text: pin the SHA-256 of each stdout."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DEMO_DIGESTS = {
+    "exact_residuals.py": "6228470da7b8272f440202a7fa7e47930b972298e7aaa0b992a5250040f80b37",
+    "numeric_tables.py": "8c53594e24f7a5dddc7f3b0e204e59ea1d3169f9dbcd0c983b4ebfc91f3e9fa7",
+    "resolvent_inversion.py": "64af37bb73b189c2d3a5d3fd16350bbab96ad4606a93eec49ca29e4e46ede12c",
+    "twisted_decomposition.py": "9a2dae9c806c530679c7569d070649c3d6aa00065a6fda68d30f68db79890a06",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(DEMO_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
+def test_demo_stdout_bytes(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
+                          capture_output=True, check=True, timeout=120)
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_DIGESTS[name]

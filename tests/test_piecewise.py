@@ -218,7 +218,7 @@ class TestCombineShift:
 
     def test_solution_build_example(self):
         h = mu_series()
-        ones = constant_function(h.X, 1, npieces=h.npieces)
+        ones = constant_function(h.X, 1)
         F = shift_exponent(combine(h, ones, 1, 1), 1)
         assert F.eval_at(1, Side.RIGHT) == ConstLinear(2, -1, 0)
 

@@ -13,12 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (divisor_sum_oracle, floor_identity_oracle, mobius_oracle,
                       mobius_per_prime_sieve, quadratic_residue_character, totient_oracle,
                       unit_divisor_sum_oracle)
-from errlab.decomposition import _unit_convolve
 from errlab.errors import (CapacityError, DomainError, FormatError, PrecisionError,
                            UncertifiableSeriesError)
 from errlab.exactnum import GaussianRational, as_gaussian
 from errlab.sequences import (_A2_BLOCK, _SIEVE_BLOCK, MAX_SIEVE, ArithSequence,
-                              CharacterSpec, _partial_a2, convolve_id, floor_sum,
+                              CharacterSpec, _divisor_pass, _partial_a2, convolve_id, floor_sum,
                               is_fundamental_discriminant, kronecker_character,
                               kronecker_symbol, mobius_sieve, numeric_constants,
                               read_character_csv, read_sequence_csv, summatory,
@@ -198,6 +197,11 @@ def _int_backed(name, N):
     return seq
 
 
+def _ones(N):
+    """Unit weights for _divisor_pass: the unit divisor sum up to N."""
+    return np.ones(N + 1, dtype=np.int64)
+
+
 def _consumer_outputs(seq, chi):
     """What every consumer of seq.int_array() makes of seq, as Python values."""
     N = seq.N
@@ -208,7 +212,7 @@ def _consumer_outputs(seq, chi):
         "value": [seq.value(n) for n in range(1, N + 1)],
         "prefix_sum": [seq.prefix_sum(k) for k in range(N + 1)],
         "convolve_id": [b.value(n) for n in range(1, N + 1)],
-        "_unit_convolve": [int(v) for v in _unit_convolve(seq, N)[1:]],
+        "unit divisor sum": [int(v) for v in _divisor_pass(seq, _ones(N))[1:]],
         "twist": [t.value(n) for n in range(1, N + 1)],
         "_partial_a2": _partial_a2(seq).real.hex(),
         "_partial_a2 of twist": _partial_a2(t).real.hex(),
@@ -279,7 +283,7 @@ class TestIntArrayPaths:
             assert b.value(n) == b_list.value(n)
             assert as_gaussian(b.value(n)) == divisor_sum_oracle(seq, n)
 
-        u, u_list = _unit_convolve(seq, N), _unit_convolve(listed, N)
+        u, u_list = _divisor_pass(seq, _ones(N)), _divisor_pass(listed, _ones(N))
         for n in range(1, N + 1):
             assert u[n] == u_list[n]
             assert as_gaussian(int(u[n])) == unit_divisor_sum_oracle(seq, n)

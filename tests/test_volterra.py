@@ -14,8 +14,8 @@ from errlab.sequences import (ArithSequence, convolve_id, kronecker_character,
                               mobius_sieve, twist)
 from errlab.volterra import (build_error_term, build_fracpart_series,
                              homogeneous_function, homogeneous_residual, make_case,
-                             remainder_integral_residual, residual, resolvent_apply,
-                             resolvent_function, solution_family)
+                             remainder_integral_residual, residual, resolvent_function,
+                             solution_family)
 
 A2 = ConstLinear.a2
 GRID_THIRDS = [Fraction(k, 3) for k in range(1, 37)]
@@ -180,16 +180,16 @@ class TestRemainderIntegral:
         r = E.eval_at(Fraction(3, 2)) - h.eval_at(Fraction(3, 2)) * Fraction(3, 2)
         assert r == ConstLinear(Fraction(-1, 2), Fraction(9, 8), 0)
         assert h.integrate(Fraction(3, 2), "1") == ConstLinear(Fraction(1, 2), Fraction(-9, 8), 0)
-        assert remainder_integral_residual(case, Fraction(3, 2)).is_zero()
-        assert remainder_integral_residual(case, 1).is_zero()
-        assert remainder_integral_residual(case, 0).is_zero()
+        assert remainder_integral_residual(E, h, Fraction(3, 2)).is_zero()
+        assert remainder_integral_residual(E, h, 1).is_zero()
+        assert remainder_integral_residual(E, h, 0).is_zero()
 
     def test_grid(self):
         case = mu_case()
         E = build_error_term(case)
         h = build_fracpart_series(case)
         for x in GRID_THIRDS:
-            assert remainder_integral_residual(case, x, E=E, h=h).is_zero(), x
+            assert remainder_integral_residual(E, h, x).is_zero(), x
 
     def test_remainder_continuous_at_integers(self):
         case = mu_case(20)
@@ -205,7 +205,7 @@ class TestHomogeneous:
     @pytest.mark.parametrize("A,x", [(1, 5), (GaussianRational(0, 1), Fraction(1, 3)),
                                      (0, Fraction(22, 7)), (0, 0)])
     def test_zero(self, A, x):
-        assert homogeneous_residual(A, x).is_zero()
+        assert homogeneous_residual(homogeneous_function(A, x), x).is_zero()
 
 
 class TestHomogeneousFunction:
@@ -218,32 +218,33 @@ class TestHomogeneousFunction:
             expect = ConstLinear(as_gaussian(A) * x)
             assert G.eval_at(x, Side.RIGHT) == expect, x
             assert G.integrate(x, "1/t") == expect, x
-            got = homogeneous_residual(A, x, G=G)
-            assert got.is_zero() and got == homogeneous_residual(A, x), x
+            got = homogeneous_residual(G, x)
+            fresh = homogeneous_residual(homogeneous_function(A, x), x)
+            assert got.is_zero() and got == fresh, x
 
     def test_prebuilt_g_is_used(self):
         # t^2 is not homogeneous: x^2 - x^2/2 remains
         x = Fraction(7, 3)
-        assert homogeneous_residual(1, x, G=monomial(12, 2)) == ConstLinear.scalar(x * x / 2)
+        assert homogeneous_residual(monomial(12, 2), x) == ConstLinear.scalar(x * x / 2)
 
     def test_domain_below_one(self):
         G = homogeneous_function(1, Fraction(1, 3))
         assert G.X == 1 and G.npieces == 2
-        assert homogeneous_residual(1, 1, G=G).is_zero()
-        assert homogeneous_residual(1, Fraction(1, 4), G=G).is_zero()
+        assert homogeneous_residual(G, 1).is_zero()
+        assert homogeneous_residual(G, Fraction(1, 4)).is_zero()
 
     def test_point_beyond_prebuilt_domain(self):
         G = homogeneous_function(1, 12)
-        assert homogeneous_residual(1, 12, G=G).is_zero()
+        assert homogeneous_residual(G, 12).is_zero()
         with pytest.raises(DomainError):
-            homogeneous_residual(1, Fraction(37, 3), G=G)
+            homogeneous_residual(G, Fraction(37, 3))
 
 
 class TestResolvent:
     def test_square_toy(self):
         E = monomial(2, 2)
-        assert resolvent_apply(E, 2) == ConstLinear.scalar(8)
         F = resolvent_function(E)
+        assert F.eval_at(2, Side.RIGHT) == ConstLinear.scalar(8)
         for x in (Fraction(1, 2), 1, Fraction(7, 4)):
             assert F.eval_at(x, Side.RIGHT) == ConstLinear.scalar(2 * Fraction(x) ** 2)
             assert residual(F, E, x).is_zero()
@@ -251,7 +252,7 @@ class TestResolvent:
     def test_linear_is_log_case(self):
         E = monomial(2, 1)
         with pytest.raises(LogCaseError):
-            resolvent_apply(E, 1)
+            resolvent_function(E).eval_at(1, Side.RIGHT)
         with pytest.raises(LogCaseError):
             resolvent_function(E)
 
