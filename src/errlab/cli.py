@@ -11,25 +11,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import math
 import sys
 import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
 
 from .decomposition import (FROZEN_GROWTH_MAX, growth_max_ratio, split_at,
                             twisted_case, untwisted_case, verify_suites)
-from .errors import (CapacityError, DivergentAtZeroError, DomainError, FormatError,
-                     LogCaseError, PrecisionError, UncertifiableSeriesError)
+from .errors import CapacityError, DomainError, FormatError, PrecisionError
 from .exactnum import GaussianRational, parse_rational
 from .piecewise import PiecewiseLaurent
-from .report import VerificationReport
-from .sequences import (MAX_SIEVE, ArithSequence, CharacterSpec,
-                        kronecker_character, mobius_sieve, numeric_constants,
-                        read_character_csv, read_sequence_csv, twist, write_character_csv,
-                        write_sequence_csv)
+from .report import VerificationReport, write_csv_rows
+from .sequences import (MAX_SIEVE, ArithSequence, kronecker_character, mobius_sieve,
+                        numeric_constants, read_character_csv, read_sequence_csv, twist,
+                        write_character_csv, write_sequence_csv)
 from .volterra import make_case, residual, resolvent_function
 
 EXIT_PASS = 0
@@ -39,26 +34,8 @@ EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    seq: str = "mu"
-    discriminant: Optional[int] = None
-    chi_file: Optional[str] = None
-    b_file: Optional[str] = None
-    X: Fraction = Fraction(100)
-    x_explicit: bool = False
-    grid_denominator: int = 3
-    A_list: List[GaussianRational] = field(default_factory=lambda: [GaussianRational(0)])
-    output: Optional[str] = None
-    mode: str = "exact"
-    precision_target: float = 1e-6
-    sieve_n: int = 100
-    emit: str = "sequence"
-    input_path: Optional[str] = None
-
-
-def _parse_args(argv) -> RunConfig:
+def _parser() -> argparse.ArgumentParser:
+    """The four subcommands, each with only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="errlab",
         description="Exact verification and tabulation of Volterra-equation "
@@ -76,9 +53,7 @@ def _parse_args(argv) -> RunConfig:
             p.add_argument("--X", default=None, help="domain end, rational (default 100)")
             p.add_argument("--denom", type=int, default=3,
                            help="grid denominator, points k/denom (default 3)")
-        p.add_argument("--mode", choices=["exact", "numeric"], default="exact")
-        p.add_argument("--precision", type=float, default=1e-6,
-                       help="numeric-mode target for the series constants")
+            p.add_argument("--mode", choices=["exact", "numeric"], default="exact")
         p.add_argument("-o", "--output", default=None, help="output CSV path (default stdout)")
 
     pv = sub.add_parser("verify", help="run the identity suites over a grid")
@@ -90,6 +65,8 @@ def _parse_args(argv) -> RunConfig:
 
     pt = sub.add_parser("table", help="emit x, E, E_AR, E_AN over a grid")
     common(pt)
+    pt.add_argument("--precision", type=float, default=1e-6,
+                    help="numeric-mode target for the series constants")
 
     ps = sub.add_parser("solve", help="apply the resolvent to a piecewise dump")
     common(ps)
@@ -101,91 +78,79 @@ def _parse_args(argv) -> RunConfig:
     common(pg, with_grid=False)
     pg.add_argument("--N", type=int, default=100, help="sieve range (default 100)")
     pg.add_argument("--emit", choices=["sequence", "character"], default="sequence")
+    return parser
 
-    ns = parser.parse_args(argv)
-    if ns.D is not None and ns.chi_file is not None:
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv, then check the values and turn --X and --A into exact
+    values in place.  An argparse type callback would raise SystemExit; a
+    FormatError here reaches main, which prints an error: line and exits 2."""
+    args = _parser().parse_args(argv)
+    if args.D is not None and args.chi_file is not None:
         # the character and the frozen growth row it is checked against
         # would come from different options
         raise FormatError("--D and --chi-file are alternatives; pass one of them")
-    cfg = RunConfig(command=ns.command, seq=ns.seq, discriminant=ns.D, chi_file=ns.chi_file,
-                    mode=ns.mode, precision_target=ns.precision, output=ns.output)
-    if hasattr(ns, "X"):
-        if ns.X is not None:
-            cfg.X = parse_rational(ns.X)
-            cfg.x_explicit = True
-        cfg.grid_denominator = ns.denom
-    if getattr(ns, "A", None):
-        cfg.A_list = [GaussianRational.from_text(s) for s in ns.A]
-    for key, attr in (("b_file", "b_file"), ("N", "sieve_n"), ("emit", "emit"),
-                      ("input", "input_path")):
-        if hasattr(ns, key):   # options of one subcommand only
-            setattr(cfg, attr, getattr(ns, key))
-    if cfg.grid_denominator < 1:
-        raise FormatError("grid denominator must be >= 1")
-    if cfg.precision_target <= 0:
+    if "X" in args:
+        if args.X is not None:
+            args.X = parse_rational(args.X)
+            if args.X <= 0:
+                raise FormatError("X must be positive")
+        if args.denom < 1:
+            raise FormatError("grid denominator must be >= 1")
+    if "A" in args:
+        args.A = [GaussianRational.from_text(s) for s in args.A or ["0"]]
+    if "precision" in args and args.precision <= 0:
         raise FormatError("precision target must be positive")
-    if cfg.X <= 0:
-        raise FormatError("X must be positive")
-    return cfg
+    return args
 
 
-def _character_for(cfg: RunConfig) -> Optional[CharacterSpec]:
-    if cfg.chi_file:
-        return read_character_csv(cfg.chi_file)
-    if cfg.discriminant is not None:
-        return kronecker_character(cfg.discriminant)
-    return None
-
-
-def _load_sequences(cfg: RunConfig, n: int):
-    """Resolve --seq into (a, b_override, chi, kind)."""
-    b_override = None
-    chi = None
-    if cfg.seq == "mu":
-        a = mobius_sieve(n)
-        kind = "mu"
-    elif cfg.seq == "mu_chi":
-        chi = _character_for(cfg)
-        if chi is None:
+def _load_sequences(args, n: int):
+    """Resolve --seq into (a, b_override, chi)."""
+    if args.seq == "mu":
+        return mobius_sieve(n), None, None
+    if args.seq == "mu_chi":
+        if args.chi_file:
+            chi = read_character_csv(args.chi_file)
+        elif args.D is not None:
+            chi = kronecker_character(args.D)
+        else:
             raise FormatError("--seq mu_chi requires --D or --chi-file")
-        a = twist(mobius_sieve(n), chi)
-        kind = "mu_chi"
-    elif cfg.seq.startswith("file:"):
-        a, b_override = read_sequence_csv(cfg.seq[5:])
-        kind = "file"
-    else:
-        raise FormatError(f"unknown sequence selector {cfg.seq!r}")
-    if cfg.b_file:
-        b_override, extra = read_sequence_csv(cfg.b_file)
-        if extra is not None:
-            raise FormatError("--b-file must use the n,value layout")
-    return a, b_override, chi, kind
+        return twist(mobius_sieve(n), chi), None, chi
+    if args.seq.startswith("file:"):
+        a, b_override = read_sequence_csv(args.seq[5:])
+        return a, b_override, None
+    raise FormatError(f"unknown sequence selector {args.seq!r}")
 
 
-def _load_to_X(cfg: RunConfig):
-    """_load_sequences for verify and table, which sieve up to ceil(X) so that
-    the sieve covers a non-integer X."""
-    if cfg.X < 1 and not cfg.seq.startswith("file:"):
-        raise DomainError(f"X = {cfg.X} is below 1, so there is nothing to sieve")
-    return _load_sequences(cfg, math.ceil(cfg.X))
+def _load_to_X(args):
+    """_load_sequences for verify and table, plus the domain end X: --X, or
+    else 100 cut to a file sequence's length.  The sieve runs up to ceil(X),
+    so that it covers a non-integer X."""
+    X = Fraction(100) if args.X is None else args.X
+    if X < 1 and not args.seq.startswith("file:"):
+        raise DomainError(f"X = {X} is below 1, so there is nothing to sieve")
+    a, b_override, chi = _load_sequences(args, math.ceil(X))
+    if args.X is None:
+        X = min(X, Fraction(a.N))
+    return a, b_override, chi, X
 
 
-def _split_for(kind: str, case):
-    """The split of a --seq kind: plain for mu, twisted for mu_chi, else None."""
-    if kind == "mu":
+def _split_for(seq: str, case):
+    """The split of a --seq selector: plain for mu, twisted for mu_chi, else None."""
+    if seq == "mu":
         return untwisted_case(case)
-    if kind == "mu_chi":
+    if seq == "mu_chi":
         return twisted_case(case)
     return None
 
 
 @contextlib.contextmanager
-def _output(cfg: RunConfig):
+def _output(args):
     """The -o file, or stdout when none is given."""
-    if not cfg.output:
+    if not args.output:
         yield sys.stdout
         return
-    with open(cfg.output, "w", newline="") as fh:
+    with open(args.output, "w", newline="") as fh:
         yield fh
 
 
@@ -193,23 +158,25 @@ def _output(cfg: RunConfig):
 # verify
 # ---------------------------------------------------------------------------
 
-def _run_verify(cfg: RunConfig) -> VerificationReport:
-    a, b_override, chi, kind = _load_to_X(cfg)
-    if not cfg.x_explicit and cfg.X > a.N:
-        cfg.X = Fraction(a.N)
-    case = make_case(a, cfg.X, 0, b=b_override)
-    report = verify_suites(case, cfg.grid_denominator, cfg.A_list, _split_for(kind, case))
+def _run_verify(args) -> VerificationReport:
+    a, b_override, chi, X = _load_to_X(args)
+    if args.b_file:
+        b_override, extra = read_sequence_csv(args.b_file)
+        if extra is not None:
+            raise FormatError("--b-file must use the n,value layout")
+    case = make_case(a, X, 0, b=b_override)
+    report = verify_suites(case, args.denom, args.A, _split_for(args.seq, case))
     # the frozen maxima cover mu and mu_chi at D = -3
-    key = kind if kind == "mu" else f"{kind}_{cfg.discriminant}"
-    if cfg.mode == "numeric" and key in FROZEN_GROWTH_MAX:
+    key = args.seq if args.seq == "mu" else f"{args.seq}_{args.D}"
+    if args.mode == "numeric" and key in FROZEN_GROWTH_MAX:
         diff = growth_max_ratio(chi) - FROZEN_GROWTH_MAX[key]
         report.add(f"growth[{key}]", 0, diff, exact_zero=(diff == 0.0))
     return report
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = _run_verify(cfg)
-    with _output(cfg) as fh:
+def cmd_verify(args) -> int:
+    report = _run_verify(args)
+    with _output(args) as fh:
         report.write_csv(fh)
     fail = report.first_failure()
     if fail is None:
@@ -224,42 +191,41 @@ def cmd_verify(cfg: RunConfig) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def _constants_for_table(cfg: RunConfig, chi) -> tuple:
-    budget = max(math.ceil(1.0 / cfg.precision_target), math.floor(cfg.X))
+def _constants_for_table(args, chi, X) -> tuple:
+    budget = max(math.ceil(1.0 / args.precision), math.floor(X))
     if budget > MAX_SIEVE:
         raise PrecisionError(
-            f"precision {cfg.precision_target:g} needs a sieve of {budget}, "
+            f"precision {args.precision:g} needs a sieve of {budget}, "
             f"beyond the budget {MAX_SIEVE}")
     seq = mobius_sieve(budget)
     if chi is not None:
         seq = twist(seq, chi)   # rebinding frees the untwisted sieve
-    return numeric_constants(seq, chi, cfg.precision_target)
+    return numeric_constants(seq, chi, args.precision)
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    a, _, chi, kind = _load_to_X(cfg)
-    if kind == "file":
+def cmd_table(args) -> int:
+    if args.seq.startswith("file:"):
         raise FormatError("table supports --seq mu and mu_chi (the split is "
                           "defined for those cases)")
-    dc = _split_for(kind, make_case(a, cfg.X))
-    numeric = cfg.mode == "numeric"
+    a, _, chi, X = _load_to_X(args)
+    dc = _split_for(args.seq, make_case(a, X))
+    numeric = args.mode == "numeric"
     if numeric:
-        a2, a1, (b2, b1) = _constants_for_table(cfg, chi)
+        a2, a1, (b2, b1) = _constants_for_table(args, chi, X)
 
-    with _output(cfg) as fh:
+    def row(k):
+        x = Fraction(k, args.denom)
+        values = split_at(dc, x)
+        if numeric:
+            return [repr(float(x))] + [repr(v.numeric(a2, a1 or 0.0).real) for v in values]
+        return [str(x)] + [v.to_text() for v in values]
+
+    with _output(args) as fh:
         if numeric:
             fh.write(f"# a2 = {a2.real!r} +/- {b2!r}\n")
             fh.write(f"# a1 = {a1.real!r} +/- {b1!r}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "E", "E_AR", "E_AN"])
-        for k in range(0, math.floor(cfg.X * cfg.grid_denominator) + 1):
-            x = Fraction(k, cfg.grid_denominator)
-            values = split_at(dc, x)
-            if numeric:
-                row = [float(x)] + [v.numeric(a2, a1 or 0.0).real for v in values]
-                writer.writerow([repr(v) for v in row])
-            else:
-                writer.writerow([str(x)] + [v.to_text() for v in values])
+        write_csv_rows(fh, ["x", "E", "E_AR", "E_AN"],
+                       map(row, range(math.floor(X * args.denom) + 1)))
     return EXIT_PASS
 
 
@@ -267,57 +233,57 @@ def cmd_table(cfg: RunConfig) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-def cmd_solve(cfg: RunConfig) -> int:
-    if len(cfg.A_list) > 1:
+def cmd_solve(args) -> int:
+    if len(args.A) > 1:
         raise FormatError("solve takes a single --A value")
-    A = cfg.A_list[0]
-    with open(cfg.input_path) as fh:
+    A = args.A[0]
+    with open(args.input) as fh:
         E = PiecewiseLaurent.loads(fh.read())
-    end = min(cfg.X, E.X) if cfg.x_explicit else E.X
-    top = math.floor(end * cfg.grid_denominator)
+    end = E.X if args.X is None else min(args.X, E.X)
+    top = math.floor(end * args.denom)
     if top < 1:
-        raise DomainError(f"the grid k/{cfg.grid_denominator} on (0, {end}] is empty")
-    numeric = cfg.mode == "numeric"
-    if numeric and not all(c.is_scalar() for p in E.pieces for c in p.values()):
-        # user data has no attached series constants to evaluate A2, A1 at
-        raise FormatError("numeric solve needs a dump without A2 or A1 terms")
+        raise DomainError(f"the grid k/{args.denom} on (0, {end}] is empty")
+    numeric = args.mode == "numeric"
+    if numeric and (A.im or not all(c.is_scalar() and not c.c1.im
+                                    for p in E.pieces for c in p.values())):
+        # user data has no attached series constants to evaluate A2, A1 at,
+        # and a float column has no room for an imaginary part
+        raise FormatError("numeric solve needs a real --A and a real dump "
+                          "without A2 or A1 terms")
     F = resolvent_function(E, A)
+    zeros = []
 
-    ok = True
-    with _output(cfg) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "F", "residual", "exact_zero"])
-        for k in range(1, top + 1):
-            x = Fraction(k, cfg.grid_denominator)
-            val = F.eval_at(x)   # POINT, as residual: the last piece at an open end
-            res = residual(F, E, x)
-            zero = res.is_zero()
-            ok = ok and zero
-            if numeric:
-                writer.writerow([repr(float(x)), repr(val.numeric(0.0, 0.0).real),
-                                 repr(res.numeric(0.0, 0.0).real),
-                                 "true" if zero else "false"])
-            else:
-                writer.writerow([str(x), val.to_text(), res.to_text(),
-                                 "true" if zero else "false"])
-    return EXIT_PASS if ok else EXIT_FAIL
+    def row(k):
+        x = Fraction(k, args.denom)
+        val = F.eval_at(x)   # POINT, as residual: the last piece at an open end
+        res = residual(F, E, x)
+        zeros.append(res.is_zero())
+        flag = "true" if zeros[-1] else "false"
+        if numeric:
+            return [repr(float(x)), repr(val.numeric(0.0, 0.0).real),
+                    repr(res.numeric(0.0, 0.0).real), flag]
+        return [str(x), val.to_text(), res.to_text(), flag]
+
+    with _output(args) as fh:
+        write_csv_rows(fh, ["x", "F", "residual", "exact_zero"], map(row, range(1, top + 1)))
+    return EXIT_PASS if all(zeros) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # sieve
 # ---------------------------------------------------------------------------
 
-def cmd_sieve(cfg: RunConfig) -> int:
-    a, _, chi, kind = _load_sequences(cfg, cfg.sieve_n)
-    if cfg.emit == "character":
+def cmd_sieve(args) -> int:
+    a, _, chi = _load_sequences(args, args.N)
+    if args.emit == "character":
         if chi is None:
             raise FormatError("--emit character requires --seq mu_chi with --D or --chi-file")
-        with _output(cfg) as fh:
+        with _output(args) as fh:
             write_character_csv(fh, chi)
         return EXIT_PASS
-    if kind == "file":
-        a = ArithSequence(a.name, [a.value(n) for n in range(1, min(a.N, cfg.sieve_n) + 1)])
-    with _output(cfg) as fh:
+    if args.seq.startswith("file:"):
+        a = ArithSequence(a.name, [a.value(n) for n in range(1, min(a.N, args.N) + 1)])
+    with _output(args) as fh:
         write_sequence_csv(fh, a)
     return EXIT_PASS
 
@@ -334,13 +300,12 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     try:
-        cfg = _parse_args(argv)
-        return _DISPATCH[cfg.command](cfg)
+        args = _parse_args(argv)
+        return _DISPATCH[args.command](args)
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (FormatError, LogCaseError, DivergentAtZeroError, DomainError,
-            UncertifiableSeriesError, CapacityError, ValueError, OSError) as exc:
+    except (ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -72,9 +72,9 @@ def _value(piece: Dict[int, ConstLinear], x: Fraction) -> ConstLinear:
 class PiecewiseLaurent:
     """f(t) = sum_e c_{k,e} t^e on (k, k+1), coefficients ConstLinear."""
 
-    __slots__ = ("X", "pieces", "weighted_integrand", "_int_cache")
+    __slots__ = ("X", "pieces", "_int_cache")
 
-    def __init__(self, X, pieces, weighted_integrand: bool = False):
+    def __init__(self, X, pieces):
         X = Fraction(X)
         if X <= 0:
             raise ValueError("domain end must be positive")
@@ -88,15 +88,11 @@ class PiecewiseLaurent:
                     c = ConstLinear.scalar(c)
                 if not c.is_zero():
                     cur[e] = c
-            if k == 0 and not weighted_integrand and any(e < 0 for e in cur):
-                raise ValueError("negative exponents on (0, 1) require the "
-                                 "weighted-integrand flag")
             cleaned.append(cur)
         if len(cleaned) < _min_pieces(X):
             raise ValueError(f"need {_min_pieces(X)} pieces to cover [0, {X}]")
         self.X = X
         self.pieces = cleaned
-        self.weighted_integrand = weighted_integrand
         self._int_cache = {}
 
     @property
@@ -279,8 +275,7 @@ def combine(f: PiecewiseLaurent, g: PiecewiseLaurent, s, t) -> PiecewiseLaurent:
                 c = c + pg[e] * t
             cur[e] = c
         pieces.append(cur)
-    return PiecewiseLaurent(f.X, pieces,
-                            weighted_integrand=f.weighted_integrand or g.weighted_integrand)
+    return PiecewiseLaurent(f.X, pieces)
 
 
 def shift_exponent(f: PiecewiseLaurent, by: int) -> PiecewiseLaurent:
@@ -293,8 +288,7 @@ def shift_exponent(f: PiecewiseLaurent, by: int) -> PiecewiseLaurent:
                 raise ValueError(f"exponent {e}+{by} leaves [{EXP_MIN}, {EXP_MAX}]")
             cur[e + by] = c
         pieces.append(cur)
-    weighted = any(e < 0 for e in pieces[0]) if pieces else False
-    return PiecewiseLaurent(f.X, pieces, weighted_integrand=weighted)
+    return PiecewiseLaurent(f.X, pieces)
 
 
 def constant_function(X, value=1) -> PiecewiseLaurent:
@@ -307,5 +301,4 @@ def monomial(X, exponent: int, coeff=1) -> PiecewiseLaurent:
     """c * t^exponent on all of (0, X]."""
     X = Fraction(X)
     c = coeff if isinstance(coeff, ConstLinear) else ConstLinear.scalar(coeff)
-    return PiecewiseLaurent(X, [{exponent: c} for _ in range(_full_pieces(X))],
-                            weighted_integrand=exponent < 0)
+    return PiecewiseLaurent(X, [{exponent: c} for _ in range(_full_pieces(X))])

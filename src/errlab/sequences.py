@@ -104,10 +104,12 @@ class ArithSequence:
         if not 0 <= k <= self.N:
             raise DomainError(f"index {k} outside 0..{self.N}")
         if self._prefix is None:
-            if self._arr is not None:
-                self._prefix = np.concatenate(([0], np.cumsum(self._arr[1:], dtype=np.int64)))
+            arr = self._arr
+            if arr is not None and _int64_safe(arr, self.N):
+                self._prefix = np.concatenate(([0], np.cumsum(arr[1:], dtype=np.int64)))
             else:
-                self._prefix = [0] + list(accumulate(self._list[1:]))
+                vals = self._list[1:] if arr is None else arr[1:].tolist()
+                self._prefix = [0] + list(accumulate(vals))
         v = self._prefix[k]
         return int(v) if self._arr is not None else v
 
@@ -143,6 +145,12 @@ class CharacterSpec:
                     raise ValueError(f"multiplicativity fails at ({a}, {b})")
         if sum(t) != 0:
             raise ValueError("character is principal (table does not sum to 0)")
+
+
+def _int64_safe(arr: np.ndarray, scale: int) -> bool:
+    """Whether scale times the largest magnitude in arr fits an int64, so
+    that any sum of at most scale terms of that magnitude cannot overflow."""
+    return scale * max(-int(arr.min()), int(arr.max())) <= np.iinfo(np.int64).max
 
 
 def _check_capacity(n: int) -> None:
@@ -299,11 +307,12 @@ def _divisor_pass(a: ArithSequence, w: np.ndarray):
     """out[m] = sum_{d|m} a(d) * w[m/d] for 1 <= m < len(w); index 0 is padding.
 
     w is an int64 weight array indexed by the cofactor m/d (w[0] is unused):
-    the cofactors themselves give convolve_id, ones give the unit sum.
+    the cofactors themselves give convolve_id, ones give the unit sum.  An
+    integer array is summed in int64 unless its values could overflow it.
     """
     upto = len(w) - 1
     arr = a.int_array()
-    if arr is not None:
+    if arr is not None and _int64_safe(arr[:upto + 1], upto * int(np.abs(w).max())):
         out = np.zeros(upto + 1, dtype=np.int64)
         for d in range(1, upto + 1):
             v = int(arr[d])
@@ -324,7 +333,7 @@ def _divisor_pass(a: ArithSequence, w: np.ndarray):
 def convolve_id(a: ArithSequence) -> ArithSequence:
     """b(n) = sum_{d|n} a(d) * (n/d) for n <= a.N, by divisor passes."""
     out = _divisor_pass(a, np.arange(a.N + 1, dtype=np.int64))
-    return ArithSequence(f"({a.name})*Id", out if a.int_array() is not None else out[1:])
+    return ArithSequence(f"({a.name})*Id", out if isinstance(out, np.ndarray) else out[1:])
 
 
 def summatory(b: ArithSequence, x) -> GaussianRational:
@@ -440,18 +449,17 @@ def numeric_constants(a: ArithSequence, chi: Optional[CharacterSpec] = None,
     """Float values (a2, a1, (a2_bound, a1_bound)) for the series constants.
 
     a2 is the partial sum of a(n)/n^2 over the stored range with the tail
-    bound B/N from |a(n)| <= B.  a1 comes from ``known_A1`` when declared,
+    bound B/N, where B is the declared ``magnitude_bound`` (no bound raises;
+    a character does not bound the values).  a1 comes from ``known_A1`` when declared,
     else from 1/L(1, chi) for a Moebius twist by ``chi``; a bare sequence has
     no certificate of conditional convergence and raises.
     """
     if precision_target <= 0:
         raise ValueError("precision target must be positive")
     bound = a.magnitude_bound
-    if bound is None and chi is not None:
-        bound = Fraction(1)  # Moebius-twist convention: |mu(n)chi(n)| <= 1
     if bound is None:
         raise UncertifiableSeriesError(
-            "no magnitude bound and no character structure; the a2 tail cannot be certified")
+            "no magnitude bound is declared; the a2 tail cannot be certified")
     a2_bound = float(bound) / a.N
     if a2_bound > precision_target:
         raise PrecisionError(

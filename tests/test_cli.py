@@ -1,16 +1,20 @@
 """End-to-end command-line checks: exit codes, file formats, determinism."""
 
+import argparse
+import ast
 import csv
 import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from errlab import cli
 from errlab.cli import main
 from errlab.piecewise import monomial
-from errlab.sequences import convolve_id, mobius_sieve, read_sequence_csv, totient_sieve
+from errlab.sequences import (convolve_id, mobius_sieve, read_sequence_csv, totient_sieve,
+                              write_sequence_csv)
 
 
 def run(argv, capsys):
@@ -99,6 +103,66 @@ def test_d_and_chi_file_are_exclusive(argv, tmp_path, capsys):
         code, _, _ = run([a.format(dump=dump) for a in argv]
                          + ["--seq", "mu_chi", *alone, "-o", str(out)], capsys)
         assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["verify", "--denom", "0"], ["table", "--denom", "0"],
+                                  ["solve", "--input", "{dump}", "--denom", "0"],
+                                  ["verify", "--X", "0"], ["table", "--X", "0"],
+                                  ["table", "--precision", "0"]])
+def test_bad_option_values_exit_2(argv, tmp_path, capsys):
+    dump = tmp_path / "e.txt"
+    dump.write_text(monomial(4, 2).dumps())
+    code, out, err = run([a.format(dump=dump) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+COMMON_OPTIONS = {"-h", "--help", "--seq", "--D", "--chi-file", "-o", "--output"}
+GRID_OPTIONS = {"--X", "--denom", "--mode"}
+SURFACE = {
+    "verify": COMMON_OPTIONS | GRID_OPTIONS | {"--A", "--b-file"},
+    "table": COMMON_OPTIONS | GRID_OPTIONS | {"--precision"},
+    "solve": COMMON_OPTIONS | GRID_OPTIONS | {"--input", "--A"},
+    "sieve": COMMON_OPTIONS | {"--N", "--emit"},
+}
+
+
+def _namespace_reads():
+    """Attributes cli.py reads off the parsed namespace ``args`` outside
+    _parse_args, which only checks and converts values."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    reads = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name != "_parse_args":
+            reads |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+                      and isinstance(n.value, ast.Name) and n.value.id == "args"
+                      and isinstance(n.ctx, ast.Load)}
+    return reads
+
+
+def test_option_surface():
+    # each subcommand accepts exactly the options it reads, and cli.py reads
+    # every option it declares
+    subparsers = next(a for a in cli._parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(SURFACE)
+    reads = _namespace_reads()
+    for name, parser in subparsers.choices.items():
+        options = [a for a in parser._actions if a.option_strings]
+        assert {o for a in options for o in a.option_strings} == SURFACE[name], name
+        assert {a.dest for a in options} - {"help"} - reads == set(), name
+
+
+@pytest.mark.parametrize("argv", [["verify", "--precision", "1e-6"],
+                                  ["solve", "--input", "e.dump", "--precision", "1e-6"],
+                                  ["sieve", "--mode", "numeric"],
+                                  ["sieve", "--precision", "1e-6"],
+                                  ["table", "--b-file", "b.csv"]])
+def test_option_of_another_subcommand_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -206,6 +270,15 @@ class TestVerify:
         code, _, err = run(["verify", "--seq", f"file:{seq}", "--X", "1/5"], capsys)
         assert code == 2
         assert err.startswith("error:") and "k/3" in err and "1/5" in err
+
+    def test_file_sequence_without_domain_end_runs_to_its_length(self, tmp_path, capsys):
+        # the default domain end 100 is cut to the file's 40 rows
+        seq = tmp_path / "mu40.csv"
+        write_sequence_csv(seq, mobius_sieve(40))
+        out = tmp_path / "rep.csv"
+        code, _, _ = run(["verify", "--seq", f"file:{seq}", "-o", str(out)], capsys)
+        assert code == 0
+        assert max(Fraction(r[1]) for r in rows_of(out)[1:]) == 40
 
     def test_internal_error_exits_4(self, monkeypatch, capsys):
         def crash(cfg):
@@ -355,6 +428,27 @@ class TestSolve:
         assert code == 0
         assert rows_of(out)[-1] == ["2.0", "8.0", "0.0", "true"]
 
+    @pytest.mark.parametrize("dump_text, A", [
+        (monomial(2, 2).dumps(), "0+1*i"),
+        ("X: 2\n0: e2=1/1+1/1*i + 0/1*A2 + 0/1*A1\n1: e2=1/1 + 0/1*A2 + 0/1*A1\n", "0"),
+    ], ids=["complex A", "complex dump"])
+    def test_numeric_needs_real_values(self, dump_text, A, tmp_path, capsys):
+        # a float column would drop the imaginary part of F
+        dump = tmp_path / "e.dump"
+        dump.write_text(dump_text)
+        code, out, err = run(["solve", "--input", str(dump), "--A", A, "--mode", "numeric",
+                              "--denom", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "real" in err
+
+    def test_negative_exponent_at_zero_exits_2(self, tmp_path, capsys):
+        # t^-1 on (0, 1) makes E(t)/t^2 non-integrable at 0+
+        dump = tmp_path / "e.dump"
+        dump.write_text("X: 2\n0: e-1=1/1 + 0/1*A2 + 0/1*A1\n1: e0=1/1 + 0/1*A2 + 0/1*A1\n")
+        code, out, err = run(["solve", "--input", str(dump)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_empty_grid_exits_2(self, tmp_path, capsys):
         dump = tmp_path / "e.dump"
         dump.write_text(monomial(3, 2).dumps())
@@ -392,6 +486,16 @@ class TestSieve:
         assert code == 0
         assert out.splitlines()[0] == "n,value"
         assert out.splitlines()[2] == "2,-1/1"
+
+    def test_file_sequence_cut_to_range(self, tmp_path, capsys):
+        seq = tmp_path / "mu40.csv"
+        write_sequence_csv(seq, mobius_sieve(40))
+        out = tmp_path / "s.csv"
+        code, _, _ = run(["sieve", "--seq", f"file:{seq}", "--N", "10", "-o", str(out)], capsys)
+        assert code == 0
+        rows = rows_of(out)
+        assert rows[0] == ["n", "value"] and len(rows) == 1 + 10
+        assert rows[-1] == ["10", f"{mobius_sieve(10).value(10)}/1"]
 
     @pytest.mark.parametrize("argv", [["--seq", "mu", "--N", "30"],
                                       ["--seq", "mu_chi", "--D", "-3", "--N", "30"],

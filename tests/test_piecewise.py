@@ -79,8 +79,7 @@ class TestEval:
             f.eval_at(Fraction(5, 2))
         with pytest.raises(DomainError):
             f.eval_at(0, Side.LEFT)
-        g = PiecewiseLaurent(2, [{0: ConstLinear.scalar(1)}, {-1: ConstLinear.scalar(1)}],
-                             weighted_integrand=True)
+        g = PiecewiseLaurent(2, [{0: ConstLinear.scalar(1)}, {-1: ConstLinear.scalar(1)}])
         assert g.eval_at(0) == ConstLinear.scalar(1)
 
     def test_negative_exponent_at_zero(self):
@@ -97,11 +96,6 @@ class TestConstruction:
             monomial(1, 4)
         with pytest.raises(ValueError):
             monomial(1, -3)
-
-    def test_first_piece_negative_needs_flag(self):
-        with pytest.raises(ValueError):
-            PiecewiseLaurent(1, [{-1: ConstLinear.scalar(1)}])
-        PiecewiseLaurent(1, [{-1: ConstLinear.scalar(1)}], weighted_integrand=True)
 
     def test_zero_coefficients_dropped(self):
         f = PiecewiseLaurent(1, [{0: ConstLinear.zero(), 1: ConstLinear.scalar(1)}])
@@ -140,7 +134,7 @@ class TestIntegrate:
         assert f.integrate(1, "1") == ConstLinear.scalar(1)
 
     def test_divergent_at_zero(self):
-        f = PiecewiseLaurent(1, [{-2: ConstLinear.scalar(1)}], weighted_integrand=True)
+        f = PiecewiseLaurent(1, [{-2: ConstLinear.scalar(1)}])
         with pytest.raises(DivergentAtZeroError):
             f.integrate(1, "1")
 
@@ -258,7 +252,8 @@ class TestDump:
             PiecewiseLaurent.loads("1: e0=1/1 + 0/1*A2 + 0/1*A1\n")  # must start at 0
         with pytest.raises(FormatError):
             PiecewiseLaurent.loads("0: e9=1/1 + 0/1*A2 + 0/1*A1\n")  # exponent range
-        with pytest.raises(FormatError):
-            PiecewiseLaurent.loads("0: e-1=1/1 + 0/1*A2 + 0/1*A1\n")  # bad at 0+
+        # t^-1 on (0, 1) is a function, not malformed text: it round-trips, and
+        # integrating it raises (TestIntegrate)
+        assert PiecewiseLaurent.loads(monomial(1, -1).dumps()) == monomial(1, -1)
         with pytest.raises(FormatError):
             PiecewiseLaurent.loads("X: 1/0\n0: e0=1/1 + 0/1*A2 + 0/1*A1\n")

@@ -17,11 +17,11 @@ from errlab.errors import (CapacityError, DomainError, FormatError, PrecisionErr
                            UncertifiableSeriesError)
 from errlab.exactnum import GaussianRational, as_gaussian
 from errlab.sequences import (_A2_BLOCK, _SIEVE_BLOCK, MAX_SIEVE, ArithSequence,
-                              CharacterSpec, _divisor_pass, _partial_a2, convolve_id, floor_sum,
-                              is_fundamental_discriminant, kronecker_character,
-                              kronecker_symbol, mobius_sieve, numeric_constants,
-                              read_character_csv, read_sequence_csv, summatory,
-                              summatory_via_floor_identity, totient_sieve, twist,
+                              CharacterSpec, _divisor_pass, _int64_safe, _partial_a2,
+                              convolve_id, floor_sum, is_fundamental_discriminant,
+                              kronecker_character, kronecker_symbol, mobius_sieve,
+                              numeric_constants, read_character_csv, read_sequence_csv,
+                              summatory, summatory_via_floor_identity, totient_sieve, twist,
                               write_character_csv, write_sequence_csv)
 
 
@@ -288,6 +288,23 @@ class TestIntArrayPaths:
             assert u[n] == u_list[n]
             assert as_gaussian(int(u[n])) == unit_divisor_sum_oracle(seq, n)
 
+    def test_int64_overflow_takes_python_ints(self):
+        arr = np.array([0, 2 ** 63 - 1, 1])
+        seq, listed = ArithSequence("s", arr), ArithSequence("s", arr[1:].tolist())
+        assert convolve_id(seq).value(2) == convolve_id(listed).value(2) == 2 ** 64 - 1
+        prefix = [0, 2 ** 63 - 1, 2 ** 63]
+        assert [seq.prefix_sum(k) for k in range(3)] == prefix
+        assert [listed.prefix_sum(k) for k in range(3)] == prefix
+        assert _divisor_pass(seq, _ones(2))[2] == _divisor_pass(listed, _ones(2))[2] == 2 ** 63
+
+    def test_built_arrays_stay_on_numpy(self):
+        mu = mobius_sieve(100)
+        for seq in (mu, twist(mu, kronecker_character(-3)), convolve_id(mu)):
+            assert convolve_id(seq).int_array() is not None
+            assert isinstance(_divisor_pass(seq, _ones(100)), np.ndarray)
+        # at the sieve cap too: |mu(n)| <= 1 under the cofactor weights n/d <= N
+        assert _int64_safe(mu.int_array(), MAX_SIEVE * MAX_SIEVE)
+
 
 class TestSummatory:
     def test_examples(self):
@@ -459,6 +476,14 @@ class TestNumericConstants:
         bare = ArithSequence("bare", [1, 2, 3])
         with pytest.raises(UncertifiableSeriesError):
             numeric_constants(bare, precision_target=0.5)
+
+    def test_character_is_no_magnitude_bound(self):
+        # |5 chi(n)| <= 5: a bound of 1 read off the character would certify
+        # the a2 tail to 1e-4 where the true tail bound is 5e-4
+        chi = kronecker_character(-4)
+        scaled = ArithSequence("s", [5 * chi.chi(n) for n in range(1, 10 ** 4 + 1)])
+        with pytest.raises(UncertifiableSeriesError):
+            numeric_constants(scaled, chi, precision_target=1e-3)
 
     def test_a1_uncertifiable(self):
         bounded = ArithSequence("bounded", [1, -1, 1, -1], magnitude_bound=Fraction(1))
