@@ -15,7 +15,7 @@ from .piecewise import (PiecewiseLaurent, Side, combine, constant_function, mono
 from .report import ReportRow, VerificationReport
 from .sequences import (ArithSequence, CharacterSpec, convolve_id, floor_sum,
                         is_fundamental_discriminant, kronecker_character,
-                        kronecker_symbol, mobius_sieve, numeric_constants,
+                        kronecker_symbol, mobius_constants, mobius_sieve, numeric_constants,
                         summatory, summatory_via_floor_identity, totient_sieve, twist)
 from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
                        homogeneous_function, homogeneous_residual, make_case,

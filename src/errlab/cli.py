@@ -22,8 +22,8 @@ from .errors import CapacityError, DomainError, FormatError, PrecisionError
 from .exactnum import GaussianRational, parse_rational
 from .piecewise import PiecewiseLaurent
 from .report import VerificationReport, write_csv_rows
-from .sequences import (MAX_SIEVE, ArithSequence, kronecker_character, mobius_sieve,
-                        numeric_constants, read_character_csv, read_sequence_csv, twist,
+from .sequences import (MAX_SIEVE, ArithSequence, kronecker_character, mobius_constants,
+                        mobius_sieve, read_character_csv, read_sequence_csv, twist,
                         write_character_csv, write_sequence_csv)
 from .volterra import make_case, residual, resolvent_function
 
@@ -36,46 +36,47 @@ EXIT_INTERNAL = 4
 
 def _parser() -> argparse.ArgumentParser:
     """The four subcommands, each with only the options it reads."""
+    # exit_on_error=False: a bad --D, --denom, --N, --mode or --emit value
+    # raises argparse.ArgumentError, which main turns into an error: line
     parser = argparse.ArgumentParser(
-        prog="errlab",
+        prog="errlab", exit_on_error=False,
         description="Exact verification and tabulation of Volterra-equation "
                     "identities for arithmetic error terms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_grid=True):
-        p.add_argument("--seq", default="mu",
-                       help="mu | mu_chi | file:PATH (default mu)")
-        p.add_argument("--D", type=int, default=None,
-                       help="fundamental discriminant for --seq mu_chi")
-        p.add_argument("--chi-file", default=None,
-                       help="CSV character table residue,value (alternative to --D)")
+    def subcommand(name, summary, with_seq=True, with_grid=True):
+        p = sub.add_parser(name, help=summary, exit_on_error=False)
+        if with_seq:
+            p.add_argument("--seq", default="mu",
+                           help="mu | mu_chi | file:PATH (default mu)")
+            p.add_argument("--D", type=int, default=None,
+                           help="fundamental discriminant for --seq mu_chi")
+            p.add_argument("--chi-file", default=None,
+                           help="CSV character table residue,value (alternative to --D)")
         if with_grid:
             p.add_argument("--X", default=None, help="domain end, rational (default 100)")
             p.add_argument("--denom", type=int, default=3,
                            help="grid denominator, points k/denom (default 3)")
             p.add_argument("--mode", choices=["exact", "numeric"], default="exact")
         p.add_argument("-o", "--output", default=None, help="output CSV path (default stdout)")
+        return p
 
-    pv = sub.add_parser("verify", help="run the identity suites over a grid")
-    common(pv)
+    pv = subcommand("verify", "run the identity suites over a grid")
     pv.add_argument("--A", action="append", default=None,
                     help="free constant of the solution family, e.g. 0, -2, 3/2+1/2*i; repeatable")
     pv.add_argument("--b-file", default=None,
                     help="CSV n,value overriding the convolution (fault injection)")
 
-    pt = sub.add_parser("table", help="emit x, E, E_AR, E_AN over a grid")
-    common(pt)
+    pt = subcommand("table", "emit x, E, E_AR, E_AN over a grid")
     pt.add_argument("--precision", type=float, default=1e-6,
                     help="numeric-mode target for the series constants")
 
-    ps = sub.add_parser("solve", help="apply the resolvent to a piecewise dump")
-    common(ps)
+    ps = subcommand("solve", "apply the resolvent to a piecewise dump", with_seq=False)
     ps.add_argument("--input", required=True, help="piecewise dump file for the right-hand side")
     ps.add_argument("--A", action="append", default=None,
                     help="free constant added as A*x (single value)")
 
-    pg = sub.add_parser("sieve", help="emit a sequence (or character table) as CSV")
-    common(pg, with_grid=False)
+    pg = subcommand("sieve", "emit a sequence (or character table) as CSV", with_grid=False)
     pg.add_argument("--N", type=int, default=100, help="sieve range (default 100)")
     pg.add_argument("--emit", choices=["sequence", "character"], default="sequence")
     return parser
@@ -83,10 +84,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv) -> argparse.Namespace:
     """Parse argv, then check the values and turn --X and --A into exact
-    values in place.  An argparse type callback would raise SystemExit; a
-    FormatError here reaches main, which prints an error: line and exits 2."""
+    values in place.  A FormatError here reaches main, which prints an
+    error: line and exits 2."""
     args = _parser().parse_args(argv)
-    if args.D is not None and args.chi_file is not None:
+    if "D" in args and args.D is not None and args.chi_file is not None:
         # the character and the frozen growth row it is checked against
         # would come from different options
         raise FormatError("--D and --chi-file are alternatives; pass one of them")
@@ -197,10 +198,7 @@ def _constants_for_table(args, chi, X) -> tuple:
         raise PrecisionError(
             f"precision {args.precision:g} needs a sieve of {budget}, "
             f"beyond the budget {MAX_SIEVE}")
-    seq = mobius_sieve(budget)
-    if chi is not None:
-        seq = twist(seq, chi)   # rebinding frees the untwisted sieve
-    return numeric_constants(seq, chi, args.precision)
+    return mobius_constants(budget, chi, args.precision)
 
 
 def cmd_table(args) -> int:
@@ -305,7 +303,7 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (ValueError, CapacityError, OSError) as exc:
+    except (ValueError, CapacityError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

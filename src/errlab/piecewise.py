@@ -58,13 +58,20 @@ def _full_pieces(x: Fraction) -> int:
 
 
 def _value(piece: Dict[int, ConstLinear], x: Fraction) -> ConstLinear:
-    """sum_e c_e x^e over an exponent -> coefficient map, exact."""
+    """sum_e c_e x^e over an exponent -> coefficient map, exact.
+
+    With x = p/s, x^e is p^e/s^e and x^-e is s^e/p^e, the powers taken on
+    the integers.
+    """
+    p, s = x.numerator, x.denominator
     total = None
     for e, c in piece.items():
-        if e:
-            if e < 0 and not x:
+        if e > 0:
+            c = c * Fraction(p ** e, s ** e)
+        elif e < 0:
+            if not p:
                 raise DomainError("negative exponent evaluated at 0")
-            c = c * (x ** e)
+            c = c * Fraction(s ** -e, p ** -e)
         total = c if total is None else total + c
     return ConstLinear.zero() if total is None else total
 
@@ -118,7 +125,9 @@ class PiecewiseLaurent:
         """
         if type(x) is not Fraction:
             x = Fraction(x)
-        if x.numerator < 0 or x > self.X:
+        X = self.X
+        # the range check on the integers: x > X is p*S > P*s for x = p/s, X = P/S
+        if x.numerator < 0 or x.numerator * X.denominator > X.numerator * x.denominator:
             raise DomainError(f"evaluation point {x} outside [0, {self.X}]")
         if x.denominator != 1:
             return _value(self.pieces[math.floor(x)], x)

@@ -45,6 +45,7 @@ __all__ = [
     "summatory_via_floor_identity",
     "floor_sum",
     "numeric_constants",
+    "mobius_constants",
     "read_sequence_csv",
     "write_sequence_csv",
     "read_character_csv",
@@ -172,29 +173,37 @@ def _prime_mask(n: int) -> np.ndarray:
 _SIEVE_BLOCK = 1 << 18
 
 
-def mobius_sieve(n: int) -> ArithSequence:
-    """mu(1..n); squarefree sign by parity of prime factors, 0 otherwise.
+def _mobius_blocks(n: int):
+    """(lo, mu(lo..lo+size-1) as int8) for blocks of _SIEVE_BLOCK entries
+    from lo = 1 on, the last one cut at n.
 
-    Only the primes p <= sqrt(n) are sieved, over blocks of _SIEVE_BLOCK
-    entries from m = 1 on.  A block holds, for each m, the product of the
-    sieved primes dividing m, negated once per prime and zeroed by each p^2
-    dividing m.  A squarefree m whose sieved primes multiply to less than m
-    has exactly one more prime factor, above sqrt(n), and takes one more
-    sign flip.
+    Only the primes p <= sqrt(n) are sieved.  A block holds, for each m, the
+    product of the sieved primes dividing m, negated once per prime and
+    zeroed by each p^2 dividing m.  A squarefree m whose sieved primes
+    multiply to less than m has exactly one more prime factor, above
+    sqrt(n), and takes one more sign flip.
     """
-    _check_capacity(n)
-    mu = np.zeros(n + 1, dtype=np.int8)
     primes = np.flatnonzero(_prime_mask(math.isqrt(n))).tolist()
     for lo in range(1, n + 1, _SIEVE_BLOCK):
-        block = mu[lo:lo + _SIEVE_BLOCK]
+        size = min(_SIEVE_BLOCK, n + 1 - lo)
         # int32 holds the product, of magnitude at most m <= MAX_SIEVE < 2**31
-        prod = np.ones(block.size, dtype=np.int32)
+        prod = np.ones(size, dtype=np.int32)
         for p in primes:
             prod[-lo % p::p] *= -p
             prod[-lo % (p * p)::p * p] = 0
+        block = np.empty(size, dtype=np.int8)
         np.sign(prod, out=block, casting="unsafe")
-        np.negative(block, out=block,
-                    where=np.abs(prod) < np.arange(lo, lo + block.size, dtype=np.int32))
+        np.abs(prod, out=prod)
+        np.negative(block, out=block, where=prod < np.arange(lo, lo + size, dtype=np.int32))
+        yield lo, block
+
+
+def mobius_sieve(n: int) -> ArithSequence:
+    """mu(1..n); squarefree sign by parity of prime factors, 0 otherwise."""
+    _check_capacity(n)
+    mu = np.zeros(n + 1, dtype=np.int8)
+    for lo, block in _mobius_blocks(n):
+        mu[lo:lo + block.size] = block
     return ArithSequence("mu", mu, magnitude_bound=Fraction(1),
                          known_A1=GaussianRational(0))
 
@@ -284,21 +293,32 @@ def _negatable_dtype(arr: np.ndarray):
     return None
 
 
+def _chi_factors(chi: CharacterSpec, lo: int, size: int) -> np.ndarray:
+    """chi(lo), .., chi(lo + size - 1) as int8: the period table, tiled from
+    the offset lo mod q."""
+    start = lo % chi.q
+    reps = -(-(start + size) // chi.q)
+    return np.tile(np.asarray(chi.table, dtype=np.int8), reps)[start:start + size]
+
+
 def twist(a: ArithSequence, chi: CharacterSpec) -> ArithSequence:
     """Pointwise product a(n) * chi(n mod q); the magnitude bound survives.
 
     An integer array is multiplied in its own dtype when that dtype is signed
-    and holds -a(n) for every n, else in int64 when int64 holds every value;
-    otherwise the product is taken on Python ints.
+    and holds -a(n) for every n, else in int64 when int64 holds every value,
+    _SIEVE_BLOCK entries at a time; otherwise the product is taken on Python
+    ints.
     """
     name = f"{a.name}*chi({chi.q})"
     arr = a.int_array()
     dtype = None if arr is None else _negatable_dtype(arr)
     if dtype is not None:
-        reps = -(-(a.N + 1) // chi.q)
-        factors = np.tile(np.asarray(chi.table, dtype=np.int8), reps)[:a.N + 1]
-        return ArithSequence(name, arr.astype(dtype, copy=False) * factors,
-                             magnitude_bound=a.magnitude_bound)
+        out = np.empty(a.N + 1, dtype=dtype)
+        for lo in range(0, a.N + 1, _SIEVE_BLOCK):
+            part = out[lo:lo + _SIEVE_BLOCK]
+            np.multiply(arr[lo:lo + part.size], _chi_factors(chi, lo, part.size),
+                        out=part, dtype=dtype)
+        return ArithSequence(name, out, magnitude_bound=a.magnitude_bound)
     vals = [a.value(n) * chi.chi(n) for n in range(1, a.N + 1)]
     return ArithSequence(name, vals, magnitude_bound=a.magnitude_bound)
 
@@ -391,38 +411,46 @@ _HALF = 27
 _EXP_BIAS = 1074    # frexp exponents of finite nonzero floats lie in [-1073, 1024]
 
 
-def _int_a2(arr: np.ndarray) -> float:
-    """math.fsum of the floats int(arr[n]) / (n*n) over n >= 1: their exact
-    sum, correctly rounded, found without a Python float per term.
+def _a2_bins(blocks) -> float:
+    """math.fsum of the floats int(v) / (n*n) over every entry v = block[i],
+    n = start + i, of the (start, block) pairs in blocks: their exact sum,
+    correctly rounded, found without a Python float per term.
 
-    For n < 2**26, n*n is exact in float64, and so is every value of magnitude
-    <= 2**53; then the numpy quotient t is the correctly rounded one that
-    Python's int / int gives.  frexp writes a nonzero t as m * 2**(e - 53)
-    with an integer |m| < 2**53, split as hi * 2**27 + lo with |hi| <= 2**26
-    and 0 <= lo < 2**27, and np.bincount sums each half by e, _A2_BLOCK
-    entries at a time.  With fewer than 2**26 terms every partial sum of a bin
-    is an integer below 2**53, so the float bins are exact; they are joined
-    as Python ints and divided once.  Other arrays take Python's int / int
-    and math.fsum term by term.
+    Each n must lie below 2**26 and each |v| at most 2**53, and there must
+    be fewer than 2**26 terms in all.  Then n*n and v are exact in float64,
+    and the numpy quotient t is the correctly rounded one that Python's
+    int / int gives.  frexp writes a nonzero t as m * 2**(e - 53) with an
+    integer |m| < 2**53, split as hi * 2**27 + lo with |hi| <= 2**26 and
+    0 <= lo < 2**27, and np.bincount sums each half by e, _A2_BLOCK entries
+    at a time.  Every partial sum of a bin is an integer below 2**53, so the
+    float bins are exact; they are joined as Python ints and divided once.
     """
-    if not (arr.size <= 1 << 26 and -(1 << 53) <= int(arr.min())
-            and int(arr.max()) <= 1 << 53):
-        return math.fsum(v / (n * n) for n, v in enumerate(arr.tolist()) if n)
     nbins = _EXP_BIAS + 1025
     hi = np.zeros(nbins)
     lo = np.zeros(nbins)
-    for start in range(1, arr.size, _A2_BLOCK):
-        block = arr[start:start + _A2_BLOCK]
-        k = np.flatnonzero(block)
-        n = (k + start).astype(np.float64)
-        frac, exp = np.frexp(block[k] / (n * n))
-        m = np.ldexp(frac, 53).astype(np.int64)
-        e = np.add(exp, _EXP_BIAS, dtype=np.intp)
-        hi += np.bincount(e, m >> _HALF, nbins)
-        lo += np.bincount(e, m & ((1 << _HALF) - 1), nbins)
+    for start, block in blocks:
+        for j in range(0, block.size, _A2_BLOCK):
+            part = block[j:j + _A2_BLOCK]
+            k = np.flatnonzero(part)
+            n = (k + (start + j)).astype(np.float64)
+            frac, exp = np.frexp(part[k] / (n * n))
+            m = np.ldexp(frac, 53).astype(np.int64)
+            e = np.add(exp, _EXP_BIAS, dtype=np.intp)
+            hi += np.bincount(e, m >> _HALF, nbins)
+            lo += np.bincount(e, m & ((1 << _HALF) - 1), nbins)
     total = sum(((int(h) << _HALF) + int(l)) << i
                 for i, (h, l) in enumerate(zip(hi.tolist(), lo.tolist())) if h or l)
     return total / (1 << (_EXP_BIAS + 53))
+
+
+def _int_a2(arr: np.ndarray) -> float:
+    """math.fsum of the floats int(arr[n]) / (n*n) over n >= 1: _a2_bins on
+    arr[1:] when the array is within its limits, else Python's int / int and
+    math.fsum term by term."""
+    if not (arr.size <= 1 << 26 and -(1 << 53) <= int(arr.min())
+            and int(arr.max()) <= 1 << 53):
+        return math.fsum(v / (n * n) for n, v in enumerate(arr.tolist()) if n)
+    return _a2_bins([(1, arr[1:])])
 
 
 def _partial_a2(a: ArithSequence) -> complex:
@@ -444,31 +472,24 @@ def _partial_a2(a: ArithSequence) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
-def numeric_constants(a: ArithSequence, chi: Optional[CharacterSpec] = None,
-                      precision_target: float = 1e-6):
-    """Float values (a2, a1, (a2_bound, a1_bound)) for the series constants.
-
-    a2 is the partial sum of a(n)/n^2 over the stored range with the tail
-    bound B/N, where B is the declared ``magnitude_bound`` (no bound raises;
-    a character does not bound the values).  a1 comes from ``known_A1`` when declared,
-    else from 1/L(1, chi) for a Moebius twist by ``chi``; a bare sequence has
-    no certificate of conditional convergence and raises.
-    """
+def _certified(n: int, bound, known_A1, chi, precision_target: float, partial_a2):
+    """(a2, a1, (a2_bound, a1_bound)) for a sequence on 1..n with magnitude
+    bound ``bound`` and declared ``known_A1``; partial_a2() sums a2 once its
+    tail bound is known to meet the target."""
     if precision_target <= 0:
         raise ValueError("precision target must be positive")
-    bound = a.magnitude_bound
     if bound is None:
         raise UncertifiableSeriesError(
             "no magnitude bound is declared; the a2 tail cannot be certified")
-    a2_bound = float(bound) / a.N
+    a2_bound = float(bound) / n
     if a2_bound > precision_target:
         raise PrecisionError(
             f"a2 tail bound {a2_bound:.3g} exceeds the target {precision_target:.3g}; "
-            f"extend the sieve range (currently {a.N})")
-    a2 = _partial_a2(a)
+            f"extend the sieve range (currently {n})")
+    a2 = partial_a2()
 
-    if a.known_A1 is not None:
-        return a2, complex(a.known_A1), (a2_bound, 0.0)
+    if known_A1 is not None:
+        return a2, complex(known_A1), (a2_bound, 0.0)
     if chi is not None:
         lval, lerr = lfunc.dirichlet_l(1.0, chi)
         if abs(lval) <= lerr:
@@ -482,6 +503,37 @@ def numeric_constants(a: ArithSequence, chi: Optional[CharacterSpec] = None,
     raise UncertifiableSeriesError(
         "a1 requested but the sequence declares no known value and has no "
         "character structure (conditional convergence not certifiable)")
+
+
+def numeric_constants(a: ArithSequence, chi: Optional[CharacterSpec] = None,
+                      precision_target: float = 1e-6):
+    """Float values (a2, a1, (a2_bound, a1_bound)) for the series constants.
+
+    a2 is the partial sum of a(n)/n^2 over the stored range with the tail
+    bound B/N, where B is the declared ``magnitude_bound`` (no bound raises;
+    a character does not bound the values).  a1 comes from ``known_A1`` when declared,
+    else from 1/L(1, chi) for a Moebius twist by ``chi``; a bare sequence has
+    no certificate of conditional convergence and raises.
+    """
+    return _certified(a.N, a.magnitude_bound, a.known_A1, chi, precision_target,
+                      lambda: _partial_a2(a))
+
+
+def mobius_constants(n: int, chi: Optional[CharacterSpec] = None,
+                     precision_target: float = 1e-6):
+    """numeric_constants of mobius_sieve(n), or with ``chi`` of its twist by
+    chi, without either array: the sieve, the twist and the a2 sum run one
+    block of _SIEVE_BLOCK entries at a time."""
+    _check_capacity(n)
+    blocks = _mobius_blocks(n)
+    if chi is None:
+        known_A1 = GaussianRational(0)
+    else:
+        known_A1 = None
+        blocks = ((lo, block * _chi_factors(chi, lo, block.size)) for lo, block in blocks)
+    # n <= MAX_SIEVE < 2**26 and |mu(m) chi(m)| <= 1, within _a2_bins' limits
+    return _certified(n, Fraction(1), known_A1, chi, precision_target,
+                      lambda: complex(_a2_bins(blocks)))
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,6 @@ MOD4_CHARACTER = "residue,value\n0,0\n1,1\n2,0\n3,-1\n"
 @pytest.mark.parametrize("argv", [
     ["verify", "--mode", "numeric", "--X", "10"],
     ["table", "--X", "10"],
-    ["solve", "--input", "{dump}"],
     ["sieve", "--emit", "character"],
 ])
 def test_d_and_chi_file_are_exclusive(argv, tmp_path, capsys):
@@ -90,18 +89,14 @@ def test_d_and_chi_file_are_exclusive(argv, tmp_path, capsys):
     # growth row is keyed and checked by --D
     chi = tmp_path / "chi4.csv"
     chi.write_text(MOD4_CHARACTER)
-    dump = tmp_path / "e.txt"
-    dump.write_text(monomial(4, 2).dumps())
     out = tmp_path / "out.csv"
-    code, _, err = run([a.format(dump=dump) for a in argv]
-                       + ["--seq", "mu_chi", "--D", "-3", "--chi-file", str(chi),
-                          "-o", str(out)], capsys)
+    code, _, err = run(argv + ["--seq", "mu_chi", "--D", "-3", "--chi-file", str(chi),
+                               "-o", str(out)], capsys)
     assert code == 2
     assert "--D and --chi-file" in err
     # either one alone is accepted
     for alone in (["--D", "-4"], ["--chi-file", str(chi)]):
-        code, _, _ = run([a.format(dump=dump) for a in argv]
-                         + ["--seq", "mu_chi", *alone, "-o", str(out)], capsys)
+        code, _, _ = run(argv + ["--seq", "mu_chi", *alone, "-o", str(out)], capsys)
         assert code == 0
 
 
@@ -117,13 +112,15 @@ def test_bad_option_values_exit_2(argv, tmp_path, capsys):
     assert err.startswith("error:")
 
 
-COMMON_OPTIONS = {"-h", "--help", "--seq", "--D", "--chi-file", "-o", "--output"}
+COMMON_OPTIONS = {"-h", "--help", "-o", "--output"}
+SEQ_OPTIONS = {"--seq", "--D", "--chi-file"}
 GRID_OPTIONS = {"--X", "--denom", "--mode"}
 SURFACE = {
-    "verify": COMMON_OPTIONS | GRID_OPTIONS | {"--A", "--b-file"},
-    "table": COMMON_OPTIONS | GRID_OPTIONS | {"--precision"},
+    "verify": COMMON_OPTIONS | SEQ_OPTIONS | GRID_OPTIONS | {"--A", "--b-file"},
+    "table": COMMON_OPTIONS | SEQ_OPTIONS | GRID_OPTIONS | {"--precision"},
+    # solve applies the resolvent to its dump and reads no sequence
     "solve": COMMON_OPTIONS | GRID_OPTIONS | {"--input", "--A"},
-    "sieve": COMMON_OPTIONS | {"--N", "--emit"},
+    "sieve": COMMON_OPTIONS | SEQ_OPTIONS | {"--N", "--emit"},
 }
 
 
@@ -157,12 +154,32 @@ def test_option_surface():
                                   ["solve", "--input", "e.dump", "--precision", "1e-6"],
                                   ["sieve", "--mode", "numeric"],
                                   ["sieve", "--precision", "1e-6"],
-                                  ["table", "--b-file", "b.csv"]])
+                                  ["table", "--b-file", "b.csv"],
+                                  # solve reads no sequence
+                                  ["solve", "--input", "e.dump", "--D", "-3"]])
 def test_option_of_another_subcommand_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--D", "x"], ["verify", "--denom", "1.5"],
+                                  ["sieve", "--N", "ten"], ["table", "--mode", "fast"],
+                                  ["sieve", "--emit", "table"]])
+def test_bad_typed_or_choice_value_returns_2(argv, capsys):
+    # argparse's own type and choices checks end in main's error: line, not
+    # in a SystemExit out of main
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: argument " + argv[1])
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--help"])
+    assert exc.value.code == 0
+    assert "--precision" in capsys.readouterr().out
 
 
 class TestVerify:

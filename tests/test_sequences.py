@@ -19,10 +19,10 @@ from errlab.exactnum import GaussianRational, as_gaussian
 from errlab.sequences import (_A2_BLOCK, _SIEVE_BLOCK, MAX_SIEVE, ArithSequence,
                               CharacterSpec, _divisor_pass, _int64_safe, _partial_a2,
                               convolve_id, floor_sum, is_fundamental_discriminant,
-                              kronecker_character, kronecker_symbol, mobius_sieve,
-                              numeric_constants, read_character_csv, read_sequence_csv,
-                              summatory, summatory_via_floor_identity, totient_sieve, twist,
-                              write_character_csv, write_sequence_csv)
+                              kronecker_character, kronecker_symbol, mobius_constants,
+                              mobius_sieve, numeric_constants, read_character_csv,
+                              read_sequence_csv, summatory, summatory_via_floor_identity,
+                              totient_sieve, twist, write_character_csv, write_sequence_csv)
 
 
 class TestSieves:
@@ -154,6 +154,17 @@ class TestTwistAndConvolution:
             assert t.N == a.N and t.int_array() is not None
             assert [t.value(n) for n in range(1, a.N + 1)] == \
                 [chi.chi(n) * a.value(n) for n in range(1, a.N + 1)]
+
+    @pytest.mark.parametrize("D", [-3, 5, -163])
+    def test_twist_across_blocks(self, D):
+        # the twist multiplies _SIEVE_BLOCK entries at a time, and q divides
+        # no block start here, so each block's table offset differs
+        chi = kronecker_character(D)
+        N = 2 * _SIEVE_BLOCK + 1
+        for a in (mobius_sieve(N), ArithSequence("w", np.arange(N + 1, dtype=np.int64))):
+            arr = a.int_array()
+            expect = arr * np.array(chi.table)[np.arange(N + 1) % chi.q]
+            assert np.array_equal(twist(a, chi).int_array(), expect)
 
     def test_convolution_is_totient(self):
         mu = mobius_sieve(500)
@@ -471,6 +482,39 @@ class TestNumericConstants:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 10 ** 6, peak
+
+    @pytest.mark.parametrize("N", [1, 2, _SIEVE_BLOCK - 1, _SIEVE_BLOCK, _SIEVE_BLOCK + 1,
+                                   2 * _SIEVE_BLOCK + 1, 10 ** 6 + 3])
+    def test_streamed_constants_match_array_path(self, N):
+        # q = 3, 5 and 163 divide no block start, so a wrong table offset in a
+        # later block changes a2
+        mu = mobius_sieve(N)
+        for D in (None, -3, -4, 5, 8, -163):
+            chi = None if D is None else kronecker_character(D)
+            seq = mu if chi is None else twist(mu, chi)
+            got = mobius_constants(N, chi, 1.0)
+            assert got[0].real.hex() == _partial_a2(seq).real.hex(), D
+            assert got == numeric_constants(seq, chi, 1.0), D
+
+    def test_streamed_constants_memory(self):
+        # nothing on the streamed path spans the 10^7-term range: the int8
+        # sieve alone would take 10 MB
+        chi = kronecker_character(-3)
+        tracemalloc.start()
+        try:
+            mobius_constants(10 ** 7, chi, 1e-7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10 ** 6, peak
+
+    def test_streamed_constants_errors(self):
+        with pytest.raises(PrecisionError):
+            mobius_constants(100, None, 1e-9)
+        with pytest.raises(CapacityError):
+            mobius_constants(MAX_SIEVE + 1, None, 1.0)
+        with pytest.raises(ValueError):
+            mobius_constants(100, None, 0.0)
 
     def test_missing_bound_errors(self):
         bare = ArithSequence("bare", [1, 2, 3])
