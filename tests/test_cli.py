@@ -82,6 +82,7 @@ MOD4_CHARACTER = "residue,value\n0,0\n1,1\n2,0\n3,-1\n"
 @pytest.mark.parametrize("argv", [
     ["verify", "--mode", "numeric", "--X", "10"],
     ["table", "--X", "10"],
+    ["sieve", "--emit", "sequence", "--N", "10"],
     ["sieve", "--emit", "character"],
 ])
 def test_d_and_chi_file_are_exclusive(argv, tmp_path, capsys):
