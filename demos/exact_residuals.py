@@ -13,7 +13,6 @@ series constant A2 = sum mu(n)/n^2 stays symbolic, so each residual collapses
 to the zero coefficient vector, not to a small float.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 from errlab import (GaussianRational, Side, build_error_term, build_fracpart_series,
@@ -45,7 +44,7 @@ print("=" * 72)
 constants = [GaussianRational(0), GaussianRational(-2),
              GaussianRational(Fraction(3, 2), Fraction(1, 2))]
 for A in constants:
-    F = solution_family(replace(case, A=A))
+    F = solution_family(h, A)
     worst = max((residual(F, E, Fraction(k, 3)) for k in range(1, 3 * X + 1)),
                 key=lambda r: 0 if r.is_zero() else 1)
     status = "all exactly zero" if worst.is_zero() else f"NONZERO: {worst}"

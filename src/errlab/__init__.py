@@ -10,8 +10,7 @@ identity to a residual whose zero test is a coefficient comparison.
 from .errors import (CapacityError, DivergentAtZeroError, DomainError, FormatError,
                      LogCaseError, PrecisionError, UncertifiableSeriesError)
 from .exactnum import ConstLinear, GaussianRational, as_gaussian
-from .piecewise import (PiecewiseLaurent, Side, combine, constant_function, monomial,
-                        shift_exponent)
+from .piecewise import PiecewiseLaurent, Side, monomial
 from .report import ReportRow, VerificationReport
 from .sequences import (ArithSequence, CharacterSpec, convolve_id, floor_sum,
                         is_fundamental_discriminant, kronecker_character,

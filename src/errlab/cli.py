@@ -34,18 +34,24 @@ EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error as argparse.ArgumentError, which main turns
+    into an error: line and exit 2; subparsers inherit the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _parser() -> argparse.ArgumentParser:
     """The four subcommands, each with only the options it reads."""
-    # exit_on_error=False: a bad --D, --denom, --N, --mode or --emit value
-    # raises argparse.ArgumentError, which main turns into an error: line
-    parser = argparse.ArgumentParser(
-        prog="errlab", exit_on_error=False,
+    parser = _Parser(
+        prog="errlab",
         description="Exact verification and tabulation of Volterra-equation "
                     "identities for arithmetic error terms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def subcommand(name, summary, with_seq=True, with_grid=True):
-        p = sub.add_parser(name, help=summary, exit_on_error=False)
+        p = sub.add_parser(name, help=summary)
         if with_seq:
             p.add_argument("--seq", default="mu",
                            help="mu | mu_chi | file:PATH (default mu)")
@@ -165,7 +171,7 @@ def _run_verify(args) -> VerificationReport:
         b_override, extra = read_sequence_csv(args.b_file)
         if extra is not None:
             raise FormatError("--b-file must use the n,value layout")
-    case = make_case(a, X, 0, b=b_override)
+    case = make_case(a, X, b=b_override)
     report = verify_suites(case, args.denom, args.A, _split_for(args.seq, case))
     # the frozen maxima cover mu and mu_chi at D = -3
     key = args.seq if args.seq == "mu" else f"{args.seq}_{args.D}"

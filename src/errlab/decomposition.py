@@ -243,7 +243,7 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
     (the plain or twisted case of the same sequence, or None) adds
     ``decomposition`` wherever decompose claims it, and the plain one the
     trivial-character relations on [1, min(X, 100)].  ``case.b`` may be an
-    override, which the suites expose; ``case.A`` is not used.
+    override, which the suites expose.
     """
     X = case.X
     points = [Fraction(k, grid_denominator)
@@ -256,7 +256,7 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
     h = build_fracpart_series(case)
 
     for A in A_list:
-        F = solution_family(replace(case, A=A))
+        F = solution_family(h, A)
         tag = f"volterra[A={A.to_text()}]"
         for x in grid:
             report.add(tag, x, residual(F, E, x))

@@ -18,16 +18,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .errors import DivergentAtZeroError, DomainError, FormatError, LogCaseError
-from .exactnum import ConstLinear, as_gaussian, parse_rational
+from .exactnum import ConstLinear, parse_rational
 
 __all__ = [
     "EXP_MIN",
     "EXP_MAX",
     "Side",
     "PiecewiseLaurent",
-    "combine",
-    "shift_exponent",
-    "constant_function",
     "monomial",
 ]
 
@@ -236,6 +233,8 @@ class PiecewiseLaurent:
             head, _, rest = line.partition(":")
             head = head.strip()
             if head == "X":
+                if x_end is not None:
+                    raise FormatError(f"line {lineno}: a second X: header")
                 x_end = parse_rational(rest.strip())
                 continue
             try:
@@ -251,7 +250,10 @@ class PiecewiseLaurent:
                     m = entry_re.match(entry.strip())
                     if not m:
                         raise FormatError(f"line {lineno}: bad entry {entry.strip()!r}")
-                    piece[int(m.group(1))] = ConstLinear.from_text(m.group(2))
+                    e = int(m.group(1))
+                    if e in piece:
+                        raise FormatError(f"line {lineno}: exponent {e} given twice")
+                    piece[e] = ConstLinear.from_text(m.group(2))
             pieces.append(piece)
         if not pieces:
             raise FormatError("no pieces found")
@@ -261,49 +263,6 @@ class PiecewiseLaurent:
             return cls(x_end, pieces)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-
-
-# ---------------------------------------------------------------------------
-# module-level operation surface
-# ---------------------------------------------------------------------------
-
-def combine(f: PiecewiseLaurent, g: PiecewiseLaurent, s, t) -> PiecewiseLaurent:
-    """Pointwise s*f + t*g on a shared breakpoint layout."""
-    if f.X != g.X or f.npieces != g.npieces:
-        raise ValueError("combine requires a shared domain end and piece layout")
-    s = as_gaussian(s)
-    t = as_gaussian(t)
-    pieces = []
-    for pf, pg in zip(f.pieces, g.pieces):
-        cur: Dict[int, ConstLinear] = {}
-        for e in set(pf) | set(pg):
-            c = ConstLinear.zero()
-            if e in pf:
-                c = c + pf[e] * s
-            if e in pg:
-                c = c + pg[e] * t
-            cur[e] = c
-        pieces.append(cur)
-    return PiecewiseLaurent(f.X, pieces)
-
-
-def shift_exponent(f: PiecewiseLaurent, by: int) -> PiecewiseLaurent:
-    """Multiply by t^by: shift every exponent, keeping the legal range."""
-    pieces = []
-    for piece in f.pieces:
-        cur = {}
-        for e, c in piece.items():
-            if not EXP_MIN <= e + by <= EXP_MAX:
-                raise ValueError(f"exponent {e}+{by} leaves [{EXP_MIN}, {EXP_MAX}]")
-            cur[e + by] = c
-        pieces.append(cur)
-    return PiecewiseLaurent(f.X, pieces)
-
-
-def constant_function(X, value=1) -> PiecewiseLaurent:
-    X = Fraction(X)
-    c = value if isinstance(value, ConstLinear) else ConstLinear.scalar(value)
-    return PiecewiseLaurent(X, [{0: c} for _ in range(_full_pieces(X))])
 
 
 def monomial(X, exponent: int, coeff=1) -> PiecewiseLaurent:

@@ -25,8 +25,7 @@ from typing import Optional
 
 from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational, as_gaussian
-from .piecewise import (PiecewiseLaurent, Side, combine, constant_function, monomial,
-                        shift_exponent)
+from .piecewise import PiecewiseLaurent, Side, monomial
 from .sequences import ArithSequence, convolve_id
 
 __all__ = [
@@ -45,24 +44,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VolterraCase:
-    """A sequence, its convolution against Id, a domain end and the free
-    constant of the solution family.
+    """A sequence, its convolution against Id and a domain end.
 
     ``b_true`` is convolve_id(a), computed once per case; ``b`` is the
     convolution the error term is built from, which is ``b_true`` unless a
     supplied b overrides it.  The series built from ``a`` read ``b_true``, so
     an override that is not the true convolution shows up as a nonzero
-    residual.  Derive cases that differ only in A with dataclasses.replace.
+    residual.  The free constant A of a solution is an argument of
+    solution_family and resolvent_function, not part of the case.
     """
 
     a: ArithSequence
     b: ArithSequence
     b_true: ArithSequence
     X: Fraction
-    A: GaussianRational
 
 
-def make_case(a: ArithSequence, X, A=0, b: Optional[ArithSequence] = None) -> VolterraCase:
+def make_case(a: ArithSequence, X, *, b: Optional[ArithSequence] = None) -> VolterraCase:
     """Assemble a case; b defaults to convolve_id(a) and a supplied b is
     spot-checked against the convolution on small indices."""
     X = Fraction(X)
@@ -79,7 +77,7 @@ def make_case(a: ArithSequence, X, A=0, b: Optional[ArithSequence] = None) -> Vo
         for n in range(1, min(8, b.N) + 1):
             if as_gaussian(b.value(n)) != as_gaussian(b_true.value(n)):
                 raise ValueError(f"supplied b({n}) does not match the convolution")
-    return VolterraCase(a, b, b_true, X, as_gaussian(A))
+    return VolterraCase(a, b, b_true, X)
 
 
 def _kmax(X: Fraction) -> int:
@@ -115,11 +113,16 @@ def build_fracpart_series(case: VolterraCase) -> PiecewiseLaurent:
     return PiecewiseLaurent(case.X, pieces)
 
 
-def solution_family(case: VolterraCase) -> PiecewiseLaurent:
-    """F(x) = (h(x) + A) x for the case's free constant A; F(0) = 0."""
-    h = build_fracpart_series(case)
-    ones = constant_function(case.X, 1)
-    return shift_exponent(combine(h, ones, 1, case.A), 1)
+def solution_family(h: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
+    """F(x) = (h(x) + A) x with h = build_fracpart_series(case); F(0) = 0."""
+    A = ConstLinear(A)
+    pieces = []
+    for piece in h.pieces:
+        # t * (h + A) lifts each exponent e onto e + 1 and A onto 1
+        out = {e + 1: c for e, c in piece.items()}
+        out[1] = out[1] + A if 1 in out else A
+        pieces.append(out)
+    return PiecewiseLaurent(h.X, pieces)
 
 
 def residual(F: PiecewiseLaurent, E: PiecewiseLaurent, x) -> ConstLinear:

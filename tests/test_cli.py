@@ -159,10 +159,17 @@ def test_option_surface():
                                   # solve reads no sequence
                                   ["solve", "--input", "e.dump", "--D", "-3"]])
 def test_option_of_another_subcommand_exits_2(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unrecognized arguments")
+
+
+@pytest.mark.parametrize("argv, missing", [(["solve"], "--input"), ([], "command")],
+                         ids=["solve without --input", "empty argv"])
+def test_missing_required_argument_returns_2(argv, missing, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: the following arguments are required: {missing}\n"
 
 
 @pytest.mark.parametrize("argv", [["verify", "--D", "x"], ["verify", "--denom", "1.5"],
@@ -412,6 +419,14 @@ class TestSolve:
         dump = tmp_path / "e.dump"
         dump.write_text("0: e9=1/1 + 0/1*A2 + 0/1*A1\n")
         assert run(["solve", "--input", str(dump)], capsys)[0] == 2
+
+    def test_repeated_exponent_exits_2(self, tmp_path, capsys):
+        dump = tmp_path / "e.dump"
+        dump.write_text("X: 2\n0: e2=1/1 + 0/1*A2 + 0/1*A1; e2=5/1 + 0/1*A2 + 0/1*A1\n"
+                        "1: e2=1/1 + 0/1*A2 + 0/1*A1\n")
+        code, out, err = run(["solve", "--input", str(dump)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: line 2: exponent 2 given twice\n"
 
     def test_zero_denominator_domain_end_exits_2(self, tmp_path, capsys):
         dump = tmp_path / "e.dump"

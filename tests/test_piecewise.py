@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from errlab.errors import DivergentAtZeroError, DomainError, FormatError, LogCaseError
-from errlab.exactnum import ConstLinear, GaussianRational
-from errlab.piecewise import (PiecewiseLaurent, Side, combine, constant_function,
-                              monomial, shift_exponent)
+from errlab.exactnum import ConstLinear
+from errlab.piecewise import PiecewiseLaurent, Side, monomial
 from errlab.sequences import mobius_sieve
 from errlab.volterra import build_fracpart_series, make_case
 
@@ -175,7 +174,7 @@ class TestIntegrate:
     @settings(max_examples=40)
     def test_kernel_identity(self, h):
         # integral of (t*h(t))/t equals the plain integral of h
-        th = shift_exponent(h, 1)
+        th = PiecewiseLaurent(h.X, [{e + 1: c for e, c in p.items()} for p in h.pieces])
         x = h.X - Fraction(1, 2)
         assert th.integrate(x, "1/t") == h.integrate(x, "1")
 
@@ -196,41 +195,6 @@ class TestIntegrate:
             if e >= 2:
                 second = second + c * (e * (e - 1)) * x ** (e - 2)
         assert avg_slope == f.eval_at(x) + second * (eps * eps / 6)
-
-
-# -- combine and shift ------------------------------------------------------
-
-class TestCombineShift:
-    def test_shift_example(self):
-        h = mu_series()
-        xh = shift_exponent(h, 1)
-        assert xh.eval_at(Fraction(1, 2)) == A2(Fraction(-1, 4))
-
-    def test_combine_cancels(self):
-        h = mu_series()
-        assert combine(h, h, 1, -1).eval_at(Fraction(7, 3)).is_zero()
-
-    def test_solution_build_example(self):
-        h = mu_series()
-        ones = constant_function(h.X, 1)
-        F = shift_exponent(combine(h, ones, 1, 1), 1)
-        assert F.eval_at(1, Side.RIGHT) == ConstLinear(2, -1, 0)
-
-    def test_shift_range_error(self):
-        f = monomial(1, 3)
-        with pytest.raises(ValueError):
-            shift_exponent(f, 1)
-
-    def test_combine_layout_mismatch(self):
-        with pytest.raises(ValueError):
-            combine(monomial(1, 1), monomial(2, 1), 1, 1)
-
-    @given(laurents(), small_fracs, small_fracs, interior)
-    @settings(max_examples=40)
-    def test_combine_pointwise(self, f, s, t, u):
-        g = combine(f, f, s, t)
-        x = f.X - 1 + u
-        assert g.eval_at(x) == f.eval_at(x) * (GaussianRational(s) + GaussianRational(t))
 
 
 # -- text dump ----------------------------------------------------------------
@@ -257,3 +221,13 @@ class TestDump:
         assert PiecewiseLaurent.loads(monomial(1, -1).dumps()) == monomial(1, -1)
         with pytest.raises(FormatError):
             PiecewiseLaurent.loads("X: 1/0\n0: e0=1/1 + 0/1*A2 + 0/1*A1\n")
+
+    def test_repeated_exponent_rejected(self):
+        # keeping either coefficient would drop the other silently
+        with pytest.raises(FormatError, match="line 2: exponent 2 given twice"):
+            PiecewiseLaurent.loads("X: 1\n0: e2=1/1 + 0/1*A2 + 0/1*A1; "
+                                   "e02=5/1 + 0/1*A2 + 0/1*A1\n")
+
+    def test_repeated_domain_end_rejected(self):
+        with pytest.raises(FormatError, match="line 3: a second X: header"):
+            PiecewiseLaurent.loads("X: 2\n0: e2=1/1 + 0/1*A2 + 0/1*A1\nX: 1\n")

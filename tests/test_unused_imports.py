@@ -1,5 +1,5 @@
-"""Every name a library module imports is used there, and every private
-module-level name is used somewhere in the library.
+"""Every name a library module or a demo imports is used there, and every
+private module-level name is used somewhere in the library.
 
 A stdlib-``ast`` stand-in for pyflakes' unused-import check.  ``__future__``
 imports, the re-exports of ``__init__.py`` and names listed in ``__all__``
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "errlab"
+DEMOS = SRC.parents[1] / "demos"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -64,7 +65,7 @@ def unused_imports(path):
             if name not in keep]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

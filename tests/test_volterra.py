@@ -44,8 +44,8 @@ def weighted_integral_oracle(E, x):
     return total
 
 
-def mu_case(X=12, A=0):
-    return make_case(mobius_sieve(X), X, A)
+def mu_case(X=12):
+    return make_case(mobius_sieve(X), X)
 
 
 def complex_file_sequence(n=36):
@@ -67,6 +67,11 @@ class TestCaseAssembly:
                                     for n in range(1, 21)])
         with pytest.raises(ValueError):
             make_case(mu, 20, b=bad)
+
+    def test_b_is_keyword_only(self):
+        # b is keyword-only, so a stray positional argument cannot bind it
+        with pytest.raises(TypeError):
+            make_case(mobius_sieve(12), 12, 0)
 
 
 class TestErrorTerm:
@@ -121,20 +126,42 @@ class TestFracpartSeries:
 
 class TestSolutionFamily:
     def test_values(self):
-        assert solution_family(mu_case(A=0)).eval_at(1, Side.RIGHT) == ConstLinear(1, -1, 0)
-        assert solution_family(mu_case(A=1)).eval_at(Fraction(1, 2)) == \
+        h = build_fracpart_series(mu_case())
+        assert solution_family(h).eval_at(1, Side.RIGHT) == ConstLinear(1, -1, 0)
+        assert solution_family(h, 1).eval_at(Fraction(1, 2)) == \
             ConstLinear(Fraction(1, 2), Fraction(-1, 4), 0)
-        assert solution_family(mu_case(A=5)).eval_at(0) == ConstLinear.zero()
+        assert solution_family(h, 5).eval_at(0) == ConstLinear.zero()
+
+    def test_solution_build_example(self):
+        h = build_fracpart_series(mu_case())
+        F = solution_family(h, 1)
+        assert F.eval_at(1, Side.RIGHT) == ConstLinear(2, -1, 0)
+
+    @pytest.mark.parametrize("A", [0, -2, GaussianRational(Fraction(3, 2), Fraction(1, 2))])
+    @pytest.mark.parametrize("seq", [mobius_sieve(12), complex_file_sequence()],
+                             ids=["mu", "zfile"])
+    def test_equals_closed_form(self, seq, A):
+        # F = (h + A) x at every point k/3 of [0, 12] and at both one-sided
+        # limits at each integer
+        h = build_fracpart_series(make_case(seq, 12))
+        F = solution_family(h, A)
+        A = ConstLinear(A)
+        for x in (Fraction(k, 3) for k in range(37)):
+            assert F.eval_at(x) == (h.eval_at(x) + A) * x, x
+        for n in range(13):
+            sides = (Side.LEFT, Side.RIGHT) if n else (Side.RIGHT,)
+            for side in sides:
+                assert F.eval_at(n, side) == (h.eval_at(n, side) + A) * n, (n, side)
 
 
 class TestResidual:
     def test_zero_for_solutions(self):
         case = mu_case()
         E = build_error_term(case)
-        assert residual(solution_family(case), E, 1).is_zero()
-        big = make_case(mobius_sieve(12), 12,
-                        GaussianRational(Fraction(3, 2), Fraction(1, 2)))
-        assert residual(solution_family(big), E, Fraction(17, 3)).is_zero()
+        h = build_fracpart_series(case)
+        assert residual(solution_family(h), E, 1).is_zero()
+        big = solution_family(h, GaussianRational(Fraction(3, 2), Fraction(1, 2)))
+        assert residual(big, E, Fraction(17, 3)).is_zero()
 
     def test_nonzero_for_non_solutions(self):
         case = mu_case()
@@ -145,17 +172,17 @@ class TestResidual:
     @pytest.mark.parametrize("A", [0, 1, -2,
                                    GaussianRational(Fraction(3, 2), Fraction(1, 2))])
     def test_grid(self, A):
-        case = make_case(mobius_sieve(12), 12, A)
+        case = mu_case()
         E = build_error_term(case)
-        F = solution_family(case)
+        F = solution_family(build_fracpart_series(case), A)
         for x in GRID_THIRDS:
             assert residual(F, E, x).is_zero(), x
 
     def test_user_file_sequence_grid(self):
         a = complex_file_sequence()
-        case = make_case(a, 12, GaussianRational(0, 1))
+        case = make_case(a, 12)
         E = build_error_term(case)
-        F = solution_family(case)
+        F = solution_family(build_fracpart_series(case), GaussianRational(0, 1))
         for x in GRID_THIRDS:
             assert residual(F, E, x).is_zero(), x
 
@@ -166,7 +193,7 @@ class TestResidual:
                                     for n in range(1, 31)])
         case = make_case(mu, 30, b=bad)
         E = build_error_term(case)
-        F = solution_family(case)
+        F = solution_family(build_fracpart_series(case))
         assert residual(F, E, 10).is_zero()
         assert not residual(F, E, 20).is_zero()
 
