@@ -16,8 +16,7 @@ from .sequences import (ArithSequence, CharacterSpec, convolve_id, floor_sum,
                         is_fundamental_discriminant, kronecker_character,
                         kronecker_symbol, mobius_constants, mobius_sieve, numeric_constants,
                         summatory, summatory_via_floor_identity, totient_sieve, twist)
-from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
-                       homogeneous_function, homogeneous_residual, make_case,
+from .volterra import (VolterraCase, build_error_term, build_fracpart_series, make_case,
                        remainder_integral_residual, residual, resolvent_function,
                        solution_family)
 from .decomposition import (DecompositionCase, build_fracsquare_series, decompose,

@@ -106,8 +106,11 @@ def _parse_args(argv) -> argparse.Namespace:
             raise FormatError("grid denominator must be >= 1")
     if "A" in args:
         args.A = [GaussianRational.from_text(s) for s in args.A or ["0"]]
-    if "precision" in args and args.precision <= 0:
+    if "precision" in args and not args.precision > 0:
+        # written so that a NaN target fails too
         raise FormatError("precision target must be positive")
+    if "N" in args and args.N < 1:
+        raise FormatError("sieve range --N must be >= 1")
     return args
 
 

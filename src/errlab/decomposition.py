@@ -26,8 +26,10 @@ f(x, triv) = f(x) and g(x, triv) = g(x) + 1 exact-zero checkable.
 
 Every constructor here takes a VolterraCase from volterra.make_case, so the
 sequence is sieved and convolved once, by the caller; the case's ``b`` feeds
-the error term and its ``b_true`` feeds the series.  split_at reads E, E_AR
-and E_AN at a point under the one breakpoint convention of both splits.
+the error term and its ``b_true`` feeds the series.  g is a piece map of
+the built fractional-part series h, whose constants it reads rather than
+accumulates again.  split_at reads E, E_AR and E_AN at a point under the one
+breakpoint convention of both splits.
 
 verify_suites runs every exact identity suite of a case on a grid; the CLI's
 ``verify`` and the acceptance gate both read its report.
@@ -38,19 +40,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational, as_gaussian
-from .piecewise import PiecewiseLaurent, Side
+from .piecewise import PiecewiseLaurent, Side, monomial
 from .report import VerificationReport
 from .sequences import (ArithSequence, CharacterSpec, _divisor_pass, _partial_a2,
                         convolve_id, floor_sum, mobius_sieve, summatory,
                         summatory_via_floor_identity, twist)
 from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
-                       homogeneous_function, homogeneous_residual,
                        remainder_integral_residual, residual, resolvent_function,
                        solution_family)
 
@@ -78,40 +80,35 @@ def _a1_form(a: ArithSequence) -> ConstLinear:
     return ConstLinear.a1(1)
 
 
-def build_fracsquare_series(case: VolterraCase, twisted: bool = False) -> PiecewiseLaurent:
-    """sum a(n) {x/n}^2 (plain) or sum a(n) {x/n}({x/n} - 1) (twisted).
+def build_fracsquare_series(case: VolterraCase, h: PiecewiseLaurent,
+                            twisted: bool = False) -> PiecewiseLaurent:
+    """sum a(n) {x/n}^2 (plain) or sum a(n) {x/n}({x/n} - 1) (twisted), as a
+    piece map of the fractional-part series h = build_fracpart_series(case).
 
     Closed piecewise form on (k, k+1): the tail n > x contributes
     x^2 (A2 - partial) and, in the twisted shape, -x (A1 - partial); the
     partial sums cancel against the expanded finite part, leaving
 
-        plain:   A2 x^2 - 2 C_k x + sum_{n<=k} a(n) m_n^2,
-        twisted: A2 x^2 - (2 C_k + A1) x + sum_{n<=k} a(n) m_n (m_n + 1),
+        plain:   A2 x^2 - 2 C_k x + 2 B(k) - U(k),
+        twisted: A2 x^2 - (2 C_k + A1) x + 2 B(k),
 
-    with m_n = floor(k/n) and C_k = sum_{n<=k} (a(n)/n) m_n.  The constants
-    advance by 2 b(k) - sum_{d|k} a(d) in the plain shape and by 2 b(k) in
-    the twisted one, so the case's ``b_true`` and one more divisor pass build
-    every piece.  The twisted shape is continuous at integers; the plain one
-    is right-continuous.
+    with C_k = sum_{n<=k} (a(n)/n) floor(k/n) the constant of h on (k, k+1),
+    B(k) the prefix sum of the case's ``b_true`` and U(k) that of the unit
+    divisor sum sum_{d|m} a(d).  The twisted shape is continuous at
+    integers; the plain one is right-continuous.
     """
-    kmax = math.floor(case.X)
-    u = None if twisted else _divisor_pass(case.a, np.ones(kmax + 1, dtype=np.int64))
     quad = ConstLinear.a2(1)
-    a1_handle = _a1_form(case.a)
+    zero = ConstLinear.zero()
+    a1_term = _a1_form(case.a) if twisted else zero
+    if twisted:
+        units = repeat(0)
+    else:
+        u = _divisor_pass(case.a, np.ones(len(h.pieces), dtype=np.int64))
+        units = accumulate(u.tolist() if isinstance(u, np.ndarray) else u)
     pieces = []
-    two_c = GaussianRational(0)   # 2 C_k
-    const = GaussianRational(0)   # the pure-rational piece constant
-    for k in range(kmax + 1):
-        if k:
-            bk = as_gaussian(case.b_true.value(k))
-            two_c = two_c + (bk / k) * 2
-            const = const + bk * 2
-            if not twisted:
-                const = const - as_gaussian(u[k])
-        lin = ConstLinear(-two_c)
-        if twisted:
-            lin = lin - a1_handle
-        pieces.append({2: quad, 1: lin, 0: ConstLinear(const)})
+    for k, (piece, U) in enumerate(zip(h.pieces, units)):
+        lin = piece.get(0, zero) * -2 - a1_term
+        pieces.append({2: quad, 1: lin, 0: ConstLinear(case.b_true.prefix_sum(k) * 2 - U)})
     return PiecewiseLaurent(case.X, pieces)
 
 
@@ -125,16 +122,19 @@ class DecompositionCase:
     analytic_part: PiecewiseLaurent       # E_AN as a function
 
 
+def _halved(g: PiecewiseLaurent, shift: ConstLinear) -> PiecewiseLaurent:
+    """E_AN = g/2 + shift on every piece."""
+    half = Fraction(1, 2)
+    return PiecewiseLaurent(g.X, [{**{e: c * half for e, c in p.items()},
+                                   0: p.get(0, ConstLinear.zero()) * half + shift}
+                                  for p in g.pieces])
+
+
 def untwisted_case(case: VolterraCase) -> DecompositionCase:
     """The Moebius/totient decomposition of a Moebius case on [0, X]."""
-    g = build_fracsquare_series(case)
-    # E_AN = g/2 + 1/2
-    half = ConstLinear.scalar(Fraction(1, 2))
-    pieces = [{e: c * Fraction(1, 2) for e, c in p.items()} for p in g.pieces]
-    for p in pieces:
-        p[0] = p.get(0, ConstLinear.zero()) + half
-    return DecompositionCase("untwisted", build_error_term(case),
-                             build_fracpart_series(case), PiecewiseLaurent(case.X, pieces))
+    h = build_fracpart_series(case)
+    an = _halved(build_fracsquare_series(case, h), ConstLinear.scalar(Fraction(1, 2)))
+    return DecompositionCase("untwisted", build_error_term(case), h, an)
 
 
 def _plus_half_a1(h: PiecewiseLaurent, a: ArithSequence) -> PiecewiseLaurent:
@@ -153,10 +153,12 @@ def _plus_half_a1(h: PiecewiseLaurent, a: ArithSequence) -> PiecewiseLaurent:
 def twisted_case(case: VolterraCase) -> DecompositionCase:
     """The decomposition on [0, X] of a case whose sequence is the Moebius
     function twisted by a real non-principal character."""
-    f = _plus_half_a1(build_fracpart_series(case), case.a)
-    g = build_fracsquare_series(case, twisted=True)
-    an = PiecewiseLaurent(case.X, [{e: c * Fraction(1, 2) for e, c in p.items()}
-                                   for p in g.pieces])
+    h = build_fracpart_series(case)
+    # g dies once halved and h once shifted, so neither is alive while E is
+    # built: the peak holds the three parts of the split and no more
+    an = _halved(build_fracsquare_series(case, h, twisted=True), ConstLinear.zero())
+    f = _plus_half_a1(h, case.a)
+    del h
     return DecompositionCase("twisted", build_error_term(case), f, an)
 
 
@@ -214,8 +216,8 @@ def trivial_character_relations(case: VolterraCase,
     X, a = case.X, case.a
     f_plain = build_fracpart_series(case)
     f_triv = _plus_half_a1(f_plain, a)
-    g_plain = build_fracsquare_series(case)
-    g_triv = build_fracsquare_series(case, twisted=True)
+    g_plain = build_fracsquare_series(case, f_plain)
+    g_triv = build_fracsquare_series(case, f_plain, twisted=True)
     one = ConstLinear.scalar(1)
     report = VerificationReport()
     for k in range(grid_denominator, math.floor(X * grid_denominator) + 1):
@@ -237,7 +239,8 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
                   split: Optional[DecompositionCase] = None) -> VerificationReport:
     """Every exact identity suite of a case on the grid k/grid_denominator of
     (0, X], in this order: ``volterra[A=..]`` per A in A_list,
-    ``remainder_integral``, ``homogeneous[A=..]`` for A in {0, 1, i},
+    ``remainder_integral``, ``homogeneous[A=..]`` (the solutions A t of the
+    zero right side) for A in {0, 1, i},
     ``resolvent``, ``uniqueness_surrogate``, ``floor_summatory``, then
     ``jump[n]`` and ``remainder_continuity[n]`` per integer n <= X.  A split
     (the plain or twisted case of the same sequence, or None) adds
@@ -264,11 +267,12 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
     for x in grid:
         report.add("remainder_integral", x, remainder_integral_residual(E, h, x))
 
+    zero = monomial(X, 0, 0)
     for A in (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)):
         tag = f"homogeneous[A={A.to_text()}]"
-        G = homogeneous_function(A, X)
+        G = solution_family(zero, A)
         for x in grid:
-            report.add(tag, x, homogeneous_residual(G, x))
+            report.add(tag, x, residual(G, zero, x))
 
     resolvent = resolvent_function(E, 0)
     for x in grid:

@@ -10,7 +10,8 @@ F(x) = (h(x) + A) x with the fractional-part series
 
 which is piecewise linear with slope -A2 and jumps b(N)/N at integers.  The
 resolvent form F(x) = E(x) + x * integral_0^x E(t)/t^2 dt + A x inverts the
-equation for any admissible right-hand side.
+equation for any admissible right-hand side.  The homogeneous equation
+(Er = 0) is the same family over the zero function: its solutions are A x.
 
 Everything here is exact; residuals are ConstLinear values whose zero test is
 a decidable coefficient comparison.
@@ -25,7 +26,7 @@ from typing import Optional
 
 from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational, as_gaussian
-from .piecewise import PiecewiseLaurent, Side, monomial
+from .piecewise import PiecewiseLaurent, Side
 from .sequences import ArithSequence, convolve_id
 
 __all__ = [
@@ -36,8 +37,6 @@ __all__ = [
     "solution_family",
     "residual",
     "remainder_integral_residual",
-    "homogeneous_function",
-    "homogeneous_residual",
     "resolvent_function",
 ]
 
@@ -80,17 +79,12 @@ def make_case(a: ArithSequence, X, *, b: Optional[ArithSequence] = None) -> Volt
     return VolterraCase(a, b, b_true, X)
 
 
-def _kmax(X: Fraction) -> int:
-    return math.floor(X)
-
-
 def build_error_term(case: VolterraCase) -> PiecewiseLaurent:
     """Er as a piecewise function: constant sum_{n<=k} b(n) on (k, k+1) plus
     the -(A2/2) t^2 main term, right-continuous at integers."""
-    kmax = _kmax(case.X)
     a2coeff = ConstLinear.a2(Fraction(-1, 2))
     pieces = []
-    for k in range(kmax + 1):
+    for k in range(math.floor(case.X) + 1):
         pieces.append({0: ConstLinear(case.b.prefix_sum(k)), 2: a2coeff})
     return PiecewiseLaurent(case.X, pieces)
 
@@ -102,11 +96,10 @@ def build_fracpart_series(case: VolterraCase) -> PiecewiseLaurent:
     sum_{n<=k} (a(n)/n) floor(k/n); the constant advances by b(k)/k at k,
     with the case's ``b_true`` so the piece data depends on a alone.
     """
-    kmax = _kmax(case.X)
     slope = ConstLinear.a2(-1)
     pieces = []
     const = GaussianRational(0)
-    for k in range(kmax + 1):
+    for k in range(math.floor(case.X) + 1):
         if k:
             const = const + as_gaussian(case.b_true.value(k)) / k
         pieces.append({1: slope, 0: ConstLinear(const)})
@@ -114,7 +107,11 @@ def build_fracpart_series(case: VolterraCase) -> PiecewiseLaurent:
 
 
 def solution_family(h: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
-    """F(x) = (h(x) + A) x with h = build_fracpart_series(case); F(0) = 0."""
+    """F(x) = (h(x) + A) x with h = build_fracpart_series(case); F(0) = 0.
+
+    Over the zero function h = monomial(X, 0, 0) it is A x, the solution of
+    the homogeneous equation.
+    """
     A = ConstLinear(A)
     pieces = []
     for piece in h.pieces:
@@ -151,26 +148,6 @@ def remainder_integral_residual(E: PiecewiseLaurent, h: PiecewiseLaurent, x) -> 
         return ConstLinear.zero()
     r = E.eval_at(x, Side.RIGHT) - h.eval_at(x, Side.RIGHT) * x
     return r + h.integrate(x, "1")
-
-
-def homogeneous_function(A, X) -> PiecewiseLaurent:
-    """G(t) = A t on [0, max(X, 1)], with a right limit at every integer."""
-    return monomial(max(Fraction(X), 1), 1, as_gaussian(A))
-
-
-def homogeneous_residual(G: PiecewiseLaurent, x) -> ConstLinear:
-    """Residual of G(x) - integral_0^x G(t)/t dt = 0.
-
-    G is homogeneous_function(A, X), so the residual is always exactly zero;
-    exercised as a regression guard on the kernel integration path.  x = 0
-    returns zero; x beyond G.X raises DomainError.
-    """
-    x = Fraction(x)
-    if x < 0:
-        raise DomainError("requires x >= 0")
-    if x == 0:
-        return ConstLinear.zero()
-    return G.eval_at(x, Side.RIGHT) - G.integrate(x, "1/t")
 
 
 def resolvent_function(E: PiecewiseLaurent, A=0) -> PiecewiseLaurent:

@@ -104,11 +104,16 @@ def test_d_and_chi_file_are_exclusive(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["verify", "--denom", "0"], ["table", "--denom", "0"],
                                   ["solve", "--input", "{dump}", "--denom", "0"],
                                   ["verify", "--X", "0"], ["table", "--X", "0"],
-                                  ["table", "--precision", "0"]])
+                                  ["table", "--precision", "0"],
+                                  ["table", "--X", "2", "--precision", "nan"],
+                                  ["sieve", "--seq", "file:{seq}", "--N", "0"],
+                                  ["sieve", "--seq", "file:{seq}", "--N", "-3"]])
 def test_bad_option_values_exit_2(argv, tmp_path, capsys):
     dump = tmp_path / "e.txt"
     dump.write_text(monomial(4, 2).dumps())
-    code, out, err = run([a.format(dump=dump) for a in argv], capsys)
+    seq = tmp_path / "s.csv"
+    seq.write_text("n,value\n1,1\n2,-1\n")
+    code, out, err = run([a.format(dump=dump, seq=seq) for a in argv], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:")
 

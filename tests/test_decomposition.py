@@ -13,7 +13,8 @@ from errlab.decomposition import (FROZEN_GROWTH_MAX, build_fracsquare_series,
 from errlab.errors import DomainError
 from errlab.exactnum import ConstLinear, GaussianRational, as_gaussian
 from errlab.piecewise import Side
-from errlab.sequences import kronecker_character, mobius_sieve, twist
+from errlab.sequences import (ArithSequence, convolve_id, kronecker_character,
+                              mobius_sieve, twist)
 from errlab.volterra import build_fracpart_series, make_case
 
 A2 = ConstLinear.a2
@@ -22,6 +23,11 @@ A1 = ConstLinear.a1
 
 def case_of(a, X=None):
     return make_case(a, a.N if X is None else X)
+
+
+def g_of(case, twisted=False):
+    """g of a case, mapped from the case's own fractional-part series."""
+    return build_fracsquare_series(case, build_fracpart_series(case), twisted)
 
 
 def plain(X):
@@ -40,18 +46,18 @@ def sawtooth_series(chi, X):
 class TestFracsquareSeries:
     def test_values_plain(self):
         mu = mobius_sieve(12)
-        g = build_fracsquare_series(case_of(mu))
+        g = g_of(case_of(mu))
         assert g.eval_at(Fraction(1, 2)) == A2(Fraction(1, 4))
         assert g.eval_at(Fraction(3, 2)) == ConstLinear(-2, Fraction(9, 4), 0)
 
     def test_values_twisted_tail_only(self):
         a = twist(mobius_sieve(12), kronecker_character(-3))
-        g = build_fracsquare_series(case_of(a), twisted=True)
+        g = g_of(case_of(a), twisted=True)
         assert g.eval_at(Fraction(1, 2)) == A2(Fraction(1, 4)) + A1(Fraction(-1, 2))
 
     def test_plain_constants_against_direct_floor_sums(self):
         mu = mobius_sieve(40)
-        g = build_fracsquare_series(case_of(mu))
+        g = g_of(case_of(mu))
         for k in range(0, 41, 5):
             direct = 0
             for n in range(1, k + 1):
@@ -60,7 +66,7 @@ class TestFracsquareSeries:
 
     def test_twisted_constants_against_direct_floor_sums(self):
         a = twist(mobius_sieve(40), kronecker_character(-4))
-        g = build_fracsquare_series(case_of(a), twisted=True)
+        g = g_of(case_of(a), twisted=True)
         for k in range(0, 41, 5):
             direct = 0
             for n in range(1, k + 1):
@@ -71,7 +77,7 @@ class TestFracsquareSeries:
     def test_closed_form_equals_series_plus_tail(self):
         # value = finite sum + x^2 (A2 - partial2) [- x (A1 - partial1) twisted]
         a = twist(mobius_sieve(30), kronecker_character(-3))
-        g2 = build_fracsquare_series(case_of(a), twisted=True)
+        g2 = g_of(case_of(a), twisted=True)
         for x in (Fraction(7, 2), Fraction(22, 3)):
             finite = GaussianRational(0)
             p1 = GaussianRational(0)
@@ -88,9 +94,58 @@ class TestFracsquareSeries:
 
     def test_twisted_continuous_at_integers(self):
         a = twist(mobius_sieve(25), kronecker_character(-3))
-        g = build_fracsquare_series(case_of(a), twisted=True)
+        g = g_of(case_of(a), twisted=True)
         for n in range(1, 25):
             assert g.eval_at(n, Side.LEFT) == g.eval_at(n, Side.RIGHT), n
+
+
+def rational_list_sequence(n=30):
+    return ArithSequence("qfile", [Fraction((-1) ** k * (k % 5), k % 7 + 1)
+                                   for k in range(1, n + 1)])
+
+
+def complex_list_sequence(n=30):
+    return ArithSequence("zfile", [GaussianRational(Fraction((-1) ** k, k), Fraction(1, k + 2))
+                                   for k in range(1, n + 1)])
+
+
+class TestFracsquareListPath:
+    """The list-backed (non-integer) sequences against the defining series."""
+
+    @pytest.mark.parametrize("make", [rational_list_sequence, complex_list_sequence])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_against_brute_force_series(self, make, twisted):
+        a = make()
+        X = 12
+        g = g_of(case_of(a, X), twisted)
+        for k in range(1, 3 * X + 1):
+            x = Fraction(k, 3)
+            finite = GaussianRational(0)
+            p1 = GaussianRational(0)
+            p2 = GaussianRational(0)
+            for n in range(1, math.floor(x) + 1):
+                fp = frac_part(x / n)
+                v = as_gaussian(a.value(n))
+                finite = finite + v * fp * (fp - 1 if twisted else fp)
+                p1 = p1 + v / n
+                p2 = p2 + v / (n * n)
+            # the tail n > x has {x/n} = x/n
+            expect = ConstLinear(finite) + (A2(1) - ConstLinear(p2)) * (x * x)
+            if twisted:
+                expect = expect - (A1(1) - ConstLinear(p1)) * x
+            assert g.eval_at(x) == expect, x
+
+    @pytest.mark.parametrize("make", [rational_list_sequence, complex_list_sequence])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_tampered_b_leaves_g_unchanged(self, make, twisted):
+        # g reads b_true, so an override of b past the spot-checked indices
+        # reaches only the error term
+        a = make()
+        b = convolve_id(a)
+        bad = ArithSequence("bad", [b.value(n) + (1 if n == 17 else 0)
+                                    for n in range(1, a.N + 1)])
+        tampered = make_case(a, a.N, b=bad)
+        assert g_of(tampered, twisted) == g_of(case_of(a), twisted)
 
 
 class TestSawtoothSeries:
@@ -201,15 +256,15 @@ class TestTrivialCharacter:
 
     def test_g_relation_is_exactly_one(self):
         case = case_of(mobius_sieve(12))
-        g_plain = build_fracsquare_series(case)
-        g_triv = build_fracsquare_series(case, twisted=True)
+        g_plain = g_of(case)
+        g_triv = g_of(case, twisted=True)
         x = Fraction(3, 2)
         assert g_triv.eval_at(x) - g_plain.eval_at(x) == ConstLinear.scalar(1)
 
     def test_relation_fails_below_one(self):
         case = case_of(mobius_sieve(4))
-        g_plain = build_fracsquare_series(case)
-        g_triv = build_fracsquare_series(case, twisted=True)
+        g_plain = g_of(case)
+        g_triv = g_of(case, twisted=True)
         x = Fraction(1, 2)
         assert g_triv.eval_at(x) - g_plain.eval_at(x) != ConstLinear.scalar(1)
 

@@ -247,8 +247,8 @@ class TestFlatKernel:
         limit = math.lcm(*range(1, X + 1)).bit_length() + 64
         case = make_case(twist(mobius_sieve(X), kronecker_character(-3)), X)
         E = build_error_term(case)
-        built = [E, build_fracpart_series(case), build_fracsquare_series(case, twisted=True),
-                 resolvent_function(E)]
+        h = build_fracpart_series(case)
+        built = [E, h, build_fracsquare_series(case, h, twisted=True), resolvent_function(E)]
         consts = [c for f in built for piece in f.pieces for c in piece.values()]
         consts += E._prefix(-2)[0]
         assert len(consts) > 10000

@@ -12,8 +12,7 @@ from errlab.exactnum import ConstLinear, GaussianRational, as_gaussian
 from errlab.piecewise import PiecewiseLaurent, Side, monomial
 from errlab.sequences import (ArithSequence, convolve_id, kronecker_character,
                               mobius_sieve, twist)
-from errlab.volterra import (build_error_term, build_fracpart_series,
-                             homogeneous_function, homogeneous_residual, make_case,
+from errlab.volterra import (build_error_term, build_fracpart_series, make_case,
                              remainder_integral_residual, residual, resolvent_function,
                              solution_family)
 
@@ -228,11 +227,19 @@ class TestRemainderIntegral:
             assert right == left, n
 
 
+def homogeneous(A, X):
+    """The solution A t of the homogeneous equation on [0, X] and the zero
+    right side it solves."""
+    zero = monomial(X, 0, 0)
+    return solution_family(zero, A), zero
+
+
 class TestHomogeneous:
     @pytest.mark.parametrize("A,x", [(1, 5), (GaussianRational(0, 1), Fraction(1, 3)),
                                      (0, Fraction(22, 7)), (0, 0)])
     def test_zero(self, A, x):
-        assert homogeneous_residual(homogeneous_function(A, x), x).is_zero()
+        G, zero = homogeneous(A, x or 1)
+        assert residual(G, zero, x).is_zero()
 
 
 class TestHomogeneousFunction:
@@ -240,31 +247,25 @@ class TestHomogeneousFunction:
 
     @pytest.mark.parametrize("A", A_VALUES)
     def test_prebuilt_matches_fresh(self, A):
-        G = homogeneous_function(A, 12)
+        G, zero = homogeneous(A, 12)
         for x in GRID_THIRDS:
             expect = ConstLinear(as_gaussian(A) * x)
             assert G.eval_at(x, Side.RIGHT) == expect, x
             assert G.integrate(x, "1/t") == expect, x
-            got = homogeneous_residual(G, x)
-            fresh = homogeneous_residual(homogeneous_function(A, x), x)
+            got = residual(G, zero, x)
+            fresh = residual(*homogeneous(A, x), x)
             assert got.is_zero() and got == fresh, x
 
     def test_prebuilt_g_is_used(self):
         # t^2 is not homogeneous: x^2 - x^2/2 remains
         x = Fraction(7, 3)
-        assert homogeneous_residual(monomial(12, 2), x) == ConstLinear.scalar(x * x / 2)
-
-    def test_domain_below_one(self):
-        G = homogeneous_function(1, Fraction(1, 3))
-        assert G.X == 1 and G.npieces == 2
-        assert homogeneous_residual(G, 1).is_zero()
-        assert homogeneous_residual(G, Fraction(1, 4)).is_zero()
+        assert residual(monomial(12, 2), monomial(12, 0, 0), x) == ConstLinear.scalar(x * x / 2)
 
     def test_point_beyond_prebuilt_domain(self):
-        G = homogeneous_function(1, 12)
-        assert homogeneous_residual(G, 12).is_zero()
+        G, zero = homogeneous(1, 12)
+        assert residual(G, zero, 12).is_zero()
         with pytest.raises(DomainError):
-            homogeneous_residual(G, Fraction(37, 3))
+            residual(G, zero, Fraction(37, 3))
 
 
 class TestResolvent:
