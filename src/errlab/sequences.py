@@ -171,31 +171,53 @@ def _prime_mask(n: int) -> np.ndarray:
 
 
 _SIEVE_BLOCK = 1 << 18
+_WHEEL = 2 * 2 * 3 * 3 * 5 * 5 * 7 * 7
 
 
 def _mobius_blocks(n: int):
     """(lo, mu(lo..lo+size-1) as int8) for blocks of _SIEVE_BLOCK entries
     from lo = 1 on, the last one cut at n.
 
-    Only the primes p <= sqrt(n) are sieved.  A block holds, for each m, the
-    product of the sieved primes dividing m, negated once per prime and
-    zeroed by each p^2 dividing m.  A squarefree m whose sieved primes
-    multiply to less than m has exactly one more prime factor, above
-    sqrt(n), and takes one more sign flip.
+    A block holds, for each m, the product of the sieved primes dividing m,
+    negated once per prime and zeroed by each p^2 dividing m.  It starts as
+    the wheel, the int32 pattern of period _WHEEL that holds this product
+    for the primes 2, 3, 5 and 7 at r = m mod _WHEEL, copied in slices, and
+    then sieves the primes 11 <= p <= sqrt(n).  Every prime of m up to
+    sqrt(n) is sieved, so at most one is missing and the product divides m,
+    fitting int32; a squarefree m whose product is short of m takes one
+    more sign flip.
     """
-    primes = np.flatnonzero(_prime_mask(math.isqrt(n))).tolist()
+    # n < _WHEEL sieves one block of m <= n, which never wraps the pattern
+    wheel = np.ones(min(_WHEEL, n + 1), dtype=np.int32)
+    for p in (2, 3, 5, 7):
+        wheel[::p] *= -p
+        wheel[::p * p] = 0
+    # the primes up to sqrt(n) after 2, 3, 5 and 7
+    primes = np.flatnonzero(_prime_mask(math.isqrt(n))).tolist()[4:]
+    prod = np.empty(min(_SIEVE_BLOCK, n), dtype=np.int32)
+    m = np.arange(1, prod.size + 1, dtype=np.int32)
     for lo in range(1, n + 1, _SIEVE_BLOCK):
         size = min(_SIEVE_BLOCK, n + 1 - lo)
-        # int32 holds the product, of magnitude at most m <= MAX_SIEVE < 2**31
-        prod = np.ones(size, dtype=np.int32)
+        pos, r = 0, lo % _WHEEL
+        while pos < size:
+            k = min(wheel.size - r, size - pos)
+            prod[pos:pos + k] = wheel[r:r + k]
+            pos, r = pos + k, 0
+        part = prod[:size]
         for p in primes:
-            prod[-lo % p::p] *= -p
-            prod[-lo % (p * p)::p * p] = 0
+            part[-lo % p::p] *= -p
+            first = -lo % (p * p)
+            if first < size:
+                part[first::p * p] = 0
         block = np.empty(size, dtype=np.int8)
-        np.sign(prod, out=block, casting="unsafe")
-        np.abs(prod, out=prod)
-        np.negative(block, out=block, where=prod < np.arange(lo, lo + size, dtype=np.int32))
+        np.sign(part, out=block, casting="unsafe")
+        np.abs(part, out=part)
+        full = np.equal(part, m[:size]).view(np.int8)
+        full *= 2
+        full -= 1
+        block *= full
         yield lo, block
+        m += _SIEVE_BLOCK
 
 
 def mobius_sieve(n: int) -> ArithSequence:
@@ -406,9 +428,8 @@ def floor_sum(a: ArithSequence, x) -> GaussianRational:
     return as_gaussian(total)
 
 
-_A2_BLOCK = 1 << 16
-_HALF = 27
-_EXP_BIAS = 1074    # frexp exponents of finite nonzero floats lie in [-1073, 1024]
+_A2_CHUNK = 1 << 13
+_A2_HALF = 39
 
 
 def _a2_bins(blocks) -> float:
@@ -416,39 +437,45 @@ def _a2_bins(blocks) -> float:
     n = start + i, of the (start, block) pairs in blocks: their exact sum,
     correctly rounded, found without a Python float per term.
 
-    Each n must lie below 2**26 and each |v| at most 2**53, and there must
-    be fewer than 2**26 terms in all.  Then n*n and v are exact in float64,
-    and the numpy quotient t is the correctly rounded one that Python's
-    int / int gives.  frexp writes a nonzero t as m * 2**(e - 53) with an
-    integer |m| < 2**53, split as hi * 2**27 + lo with |hi| <= 2**26 and
-    0 <= lo < 2**27, and np.bincount sums each half by e, _A2_BLOCK entries
-    at a time.  Every partial sum of a bin is an integer below 2**53, so the
-    float bins are exact; they are joined as Python ints and divided once.
+    Each n must lie below 2**26 and each |v| at most 2**24.  Then n*n and v
+    are exact in float64, and the numpy quotient t is the correctly rounded
+    one that Python's int / int gives.  The terms go in chunks of at most
+    _A2_CHUNK whose n share one interval [2**j, 2**(j + 1)).  With r the
+    float 1/(n*n) of the chunk's last n and k = 53 - frexp(r)[1], every
+    nonzero t of the chunk is at least r in magnitude, so t * 2**k is an
+    integer, of magnitude at most 2**(54 + 24).  It splits as
+    hi * 2**_A2_HALF + lo with |hi| <= 2**39 and 0 <= lo < 2**_A2_HALF,
+    and each half is summed in float64: every partial sum is an integer
+    below 2**53, so the sums are exact in any order.  The chunk sums are
+    joined as Python ints and divided once.
     """
-    nbins = _EXP_BIAS + 1025
-    hi = np.zeros(nbins)
-    lo = np.zeros(nbins)
+    offsets = np.arange(_A2_CHUNK, dtype=np.float64)
+    scaled = []
     for start, block in blocks:
-        for j in range(0, block.size, _A2_BLOCK):
-            part = block[j:j + _A2_BLOCK]
-            k = np.flatnonzero(part)
-            n = (k + (start + j)).astype(np.float64)
-            frac, exp = np.frexp(part[k] / (n * n))
-            m = np.ldexp(frac, 53).astype(np.int64)
-            e = np.add(exp, _EXP_BIAS, dtype=np.intp)
-            hi += np.bincount(e, m >> _HALF, nbins)
-            lo += np.bincount(e, m & ((1 << _HALF) - 1), nbins)
-    total = sum(((int(h) << _HALF) + int(l)) << i
-                for i, (h, l) in enumerate(zip(hi.tolist(), lo.tolist())) if h or l)
-    return total / (1 << (_EXP_BIAS + 53))
+        j = 0
+        while j < block.size:
+            n0 = start + j
+            part = block[j:j + min(_A2_CHUNK, (1 << n0.bit_length()) - n0)]
+            j += part.size
+            n = n0 + part.size - 1
+            k = 53 - math.frexp(1 / (n * n))[1]
+            t = offsets[:part.size] + n0
+            t *= t
+            np.divide(part, t, out=t)
+            t *= 2.0 ** (k - _A2_HALF)
+            hi = np.floor(t)
+            t -= hi
+            scaled.append(((int(hi.sum()) << _A2_HALF) + int(t.sum() * 2.0 ** _A2_HALF), k))
+    shift = max((k for _, k in scaled), default=0)
+    return sum(s << (shift - k) for s, k in scaled) / (1 << shift)
 
 
 def _int_a2(arr: np.ndarray) -> float:
     """math.fsum of the floats int(arr[n]) / (n*n) over n >= 1: _a2_bins on
     arr[1:] when the array is within its limits, else Python's int / int and
     math.fsum term by term."""
-    if not (arr.size <= 1 << 26 and -(1 << 53) <= int(arr.min())
-            and int(arr.max()) <= 1 << 53):
+    if not (arr.size <= 1 << 26 and -(1 << 24) <= int(arr.min())
+            and int(arr.max()) <= 1 << 24):
         return math.fsum(v / (n * n) for n, v in enumerate(arr.tolist()) if n)
     return _a2_bins([(1, arr[1:])])
 
@@ -525,15 +552,17 @@ def mobius_constants(n: int, chi: Optional[CharacterSpec] = None,
     chi, without either array: the sieve, the twist and the a2 sum run one
     block of _SIEVE_BLOCK entries at a time."""
     _check_capacity(n)
-    blocks = _mobius_blocks(n)
-    if chi is None:
-        known_A1 = GaussianRational(0)
-    else:
-        known_A1 = None
-        blocks = ((lo, block * _chi_factors(chi, lo, block.size)) for lo, block in blocks)
+
+    def blocks():
+        for lo, block in _mobius_blocks(n):
+            if chi is not None:
+                block *= _chi_factors(chi, lo, block.size)
+            yield lo, block
+
+    known_A1 = GaussianRational(0) if chi is None else None
     # n <= MAX_SIEVE < 2**26 and |mu(m) chi(m)| <= 1, within _a2_bins' limits
     return _certified(n, Fraction(1), known_A1, chi, precision_target,
-                      lambda: complex(_a2_bins(blocks)))
+                      lambda: complex(_a2_bins(blocks())))
 
 
 # ---------------------------------------------------------------------------

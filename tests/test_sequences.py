@@ -13,16 +13,18 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (divisor_sum_oracle, floor_identity_oracle, mobius_oracle,
                       mobius_per_prime_sieve, quadratic_residue_character, totient_oracle,
                       unit_divisor_sum_oracle)
+from errlab import sequences
 from errlab.errors import (CapacityError, DomainError, FormatError, PrecisionError,
                            UncertifiableSeriesError)
 from errlab.exactnum import GaussianRational, as_gaussian
-from errlab.sequences import (_A2_BLOCK, _SIEVE_BLOCK, MAX_SIEVE, ArithSequence,
-                              CharacterSpec, _divisor_pass, _int64_safe, _partial_a2,
-                              convolve_id, floor_sum, is_fundamental_discriminant,
-                              kronecker_character, kronecker_symbol, mobius_constants,
-                              mobius_sieve, numeric_constants, read_character_csv,
-                              read_sequence_csv, summatory, summatory_via_floor_identity,
-                              totient_sieve, twist, write_character_csv, write_sequence_csv)
+from errlab.sequences import (_A2_CHUNK, _A2_HALF, _SIEVE_BLOCK, _WHEEL, MAX_SIEVE,
+                              ArithSequence, CharacterSpec, _a2_bins, _divisor_pass,
+                              _int64_safe, _partial_a2, convolve_id, floor_sum,
+                              is_fundamental_discriminant, kronecker_character,
+                              kronecker_symbol, mobius_constants, mobius_sieve,
+                              numeric_constants, read_character_csv, read_sequence_csv,
+                              summatory, summatory_via_floor_identity, totient_sieve, twist,
+                              write_character_csv, write_sequence_csv)
 
 
 class TestSieves:
@@ -44,9 +46,13 @@ class TestSieves:
         assert np.array_equal(mobius_sieve(N).int_array(), mobius_per_prime_sieve(N))
 
     @pytest.mark.parametrize("N", [_SIEVE_BLOCK - 1, _SIEVE_BLOCK, _SIEVE_BLOCK + 1,
-                                   _SIEVE_BLOCK + 2, 2 * _SIEVE_BLOCK + 1])
+                                   _SIEVE_BLOCK + 2, 2 * _SIEVE_BLOCK + 1,
+                                   1, 6, 48, 49, _WHEEL - 1, _WHEEL, _WHEEL + 1,
+                                   _SIEVE_BLOCK + _WHEEL + 1])
     def test_mobius_block_edges(self, N):
-        # blocks start at m = 1, so N = k * block is the last entry of block k
+        # blocks start at m = 1, so N = k * block is the last entry of block k;
+        # 48 and 49 bracket 7^2 with no prime above 7 sieved, and a block past
+        # _SIEVE_BLOCK + _WHEEL copies a wrap of the wheel in its middle
         mu = mobius_sieve(N).int_array()
         assert mu.dtype == np.int8
         assert np.array_equal(mu, mobius_per_prime_sieve(N))
@@ -447,8 +453,8 @@ class TestNumericConstants:
 
     @settings(max_examples=80, deadline=None)
     @given(dtype=st.sampled_from([np.int8, np.int64]),
-           N=st.integers(1, 300) | st.sampled_from([_A2_BLOCK - 1, _A2_BLOCK, _A2_BLOCK + 1,
-                                                    2 * _A2_BLOCK + 3]),
+           N=st.integers(1, 300) | st.sampled_from([_A2_CHUNK - 1, _A2_CHUNK, _A2_CHUNK + 1,
+                                                    2 * _A2_CHUNK + 3]),
            bits=st.integers(0, 53), density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_partial_a2_kernel_against_fsum(self, dtype, N, bits, density, seed):
@@ -462,6 +468,58 @@ class TestNumericConstants:
         arr = np.concatenate(([0], vals)).astype(dtype)
         expect = math.fsum([int(arr[n]) / (n * n) for n in range(1, N + 1)])
         assert _partial_a2(ArithSequence("r", arr)).real.hex() == expect.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(starts=st.lists(st.tuples(st.integers(1, 25), st.integers(-40, 40),
+                                     st.integers(0, 2 * _A2_CHUNK + 3)), max_size=3),
+           dtype=st.sampled_from([np.int32, np.int64]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(starts=[(13, 0, 0)], dtype=np.int32, seed=0)
+    @example(starts=[(13, -5, _A2_CHUNK + 9), (25, -(2 * _A2_CHUNK), 2 * _A2_CHUNK + 3)],
+             dtype=np.int64, seed=1)
+    def test_a2_bins_against_fsum(self, starts, dtype, seed):
+        # blocks start near 2**j, with chunks cut across it, and take values
+        # up to the limit 2**24 in magnitude; n stays below 2**26
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for j, offset, size in starts:
+            start = max(1, 2 ** j + offset)
+            vals = rng.integers(-(2 ** 24), 2 ** 24, size=size, endpoint=True)
+            vals[rng.random(size) < 0.05] = 2 ** 24
+            vals[rng.random(size) < 0.05] = -(2 ** 24)
+            vals[rng.random(size) < 0.3] = 0
+            blocks.append((start, vals.astype(dtype)))
+        expect = math.fsum([int(v) / (n * n) for start, block in blocks
+                            for n, v in enumerate(block.tolist(), start=start)])
+        assert _a2_bins(blocks).hex() == expect.hex()
+
+    @pytest.mark.parametrize("v", [2 ** 24, -(2 ** 24)])
+    def test_a2_bins_full_chunk_at_limit(self, v):
+        # the chunk n = 2**13 .. 2**14 - 1 scales its first term to 2**54 * v,
+        # the largest high half the kernel allows, in every one of its terms
+        block = np.full(_A2_CHUNK, v, dtype=np.int64)
+        expect = math.fsum([v / (n * n) for n in range(_A2_CHUNK, 2 * _A2_CHUNK)])
+        assert _a2_bins([(_A2_CHUNK, block)]).hex() == expect.hex()
+
+    @pytest.mark.parametrize("top,kernel", [(2 ** 24, True), (-(2 ** 24), True),
+                                            (2 ** 24 + 1, False), (-(2 ** 24) - 1, False)])
+    def test_partial_a2_kernel_limit(self, monkeypatch, top, kernel):
+        # one value past 2**24 in magnitude sends the array to math.fsum
+        calls = []
+        monkeypatch.setattr(sequences, "_a2_bins",
+                            lambda blocks: calls.append(1) or _a2_bins(blocks))
+        arr = np.array([0, 3, top, -7, 1, top // 3], dtype=np.int64)
+        expect = math.fsum([int(arr[n]) / (n * n) for n in range(1, arr.size)])
+        assert _partial_a2(ArithSequence("edge", arr)).real.hex() == expect.hex()
+        assert bool(calls) == kernel
+
+    def test_a2_kernel_limits_hold(self):
+        # t * 2**k is at most 2**(54 + 24): each chunk's high and low sums must
+        # stay below 2**53, and mobius_constants sends n <= MAX_SIEVE; every
+        # phi(n) <= n <= MAX_SIEVE stays within the kernel's |v| <= 2**24
+        assert _A2_CHUNK * 2 ** (54 + 24 - _A2_HALF) < 2 ** 53
+        assert _A2_CHUNK * 2 ** _A2_HALF < 2 ** 53
+        assert MAX_SIEVE < 2 ** 26
+        assert MAX_SIEVE <= 2 ** 24
 
     @pytest.mark.parametrize("tail", [4, 12, -4, -12, 0])
     def test_partial_a2_kernel_rounds_ties_to_even(self, tail):
