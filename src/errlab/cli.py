@@ -215,10 +215,12 @@ def cmd_table(args) -> int:
         raise FormatError("table supports --seq mu and mu_chi (the split is "
                           "defined for those cases)")
     a, _, chi, X = _load_to_X(args)
-    dc = _split_for(args.seq, make_case(a, X))
     numeric = args.mode == "numeric"
     if numeric:
+        # before the split is built, so that the sieve's peak memory does not
+        # stack on the split's pieces
         a2, a1, (b2, b1) = _constants_for_table(args, chi, X)
+    dc = _split_for(args.seq, make_case(a, X))
 
     def row(k):
         x = Fraction(k, args.denom)

@@ -9,6 +9,12 @@ class PrecisionError(RuntimeError):
     """Precision target cannot be met with the configured truncation."""
 
 
+class UnquotableFieldError(RuntimeError):
+    """A CSV row needs quoting: a field holds a comma, a double quote or a line
+    break, or the row is one empty field.  The writer never quotes and no
+    command emits such a row, so this is an internal error, not a usage error."""
+
+
 class UncertifiableSeriesError(ValueError):
     """A series value was requested that the sequence metadata cannot certify."""
 

@@ -54,21 +54,21 @@ def _full_pieces(x: Fraction) -> int:
     return math.floor(x) + 1
 
 
-def _value(piece: Dict[int, ConstLinear], x: Fraction) -> ConstLinear:
-    """sum_e c_e x^e over an exponent -> coefficient map, exact.
+def _value(piece: Dict[int, ConstLinear], p: int, s: int) -> ConstLinear:
+    """sum_e c_e x^e over an exponent -> coefficient map at x = p/s, exact.
 
-    With x = p/s, x^e is p^e/s^e and x^-e is s^e/p^e, the powers taken on
-    the integers.
+    x = p/s is in lowest terms with p >= 0 and s > 0, so x^e is p^e/s^e and
+    x^-e is s^e/p^e.  Powers of coprime integers are coprime, which is the
+    form ConstLinear._scaled takes, so no Fraction is built.
     """
-    p, s = x.numerator, x.denominator
     total = None
     for e, c in piece.items():
         if e > 0:
-            c = c * Fraction(p ** e, s ** e)
+            c = c._scaled(p ** e, s ** e)
         elif e < 0:
             if not p:
                 raise DomainError("negative exponent evaluated at 0")
-            c = c * Fraction(s ** -e, p ** -e)
+            c = c._scaled(s ** -e, p ** -e)
         total = c if total is None else total + c
     return ConstLinear.zero() if total is None else total
 
@@ -122,30 +122,35 @@ class PiecewiseLaurent:
         """
         if type(x) is not Fraction:
             x = Fraction(x)
-        X = self.X
-        # the range check on the integers: x > X is p*S > P*s for x = p/s, X = P/S
-        if x.numerator < 0 or x.numerator * X.denominator > X.numerator * x.denominator:
-            raise DomainError(f"evaluation point {x} outside [0, {self.X}]")
-        if x.denominator != 1:
-            return _value(self.pieces[math.floor(x)], x)
-        k = int(x)
+        p, s = self._in_domain(x, "evaluation point")
+        k = p // s
+        if s != 1:
+            return _value(self.pieces[k], p, s)
         if k == 0:
             if side in (Side.LEFT, Side.MIDPOINT):
                 raise DomainError("no left limit at 0")
-            return _value(self.pieces[0], x)
+            return _value(self.pieces[0], 0, 1)
         if side is Side.LEFT:
-            return _value(self.pieces[k - 1], x)
+            return _value(self.pieces[k - 1], k, 1)
+        if side is Side.POINT:
+            # the piece whose left-closed interval [k, k+1) contains x,
+            # falling back to the last piece at an uncovered domain end
+            return _value(self.pieces[min(k, self.npieces - 1)], k, 1)
+        if k >= self.npieces:
+            raise DomainError(f"no right limit at the domain end {x}")
+        right = _value(self.pieces[k], k, 1)
         if side is Side.RIGHT:
-            if k >= self.npieces:
-                raise DomainError(f"no right limit at the domain end {x}")
-            return _value(self.pieces[k], x)
-        if side is Side.MIDPOINT:
-            left = _value(self.pieces[k - 1], x)
-            right = self.eval_at(x, Side.RIGHT)
-            return (left + right) / 2
-        # POINT: the piece whose left-closed interval [k, k+1) contains x,
-        # falling back to the last piece at an uncovered domain end.
-        return _value(self.pieces[min(k, self.npieces - 1)], x)
+            return right
+        return (_value(self.pieces[k - 1], k, 1) + right) / 2
+
+    def _in_domain(self, x: Fraction, what: str):
+        """(p, s) of x = p/s, checked against [0, X] on the integers: x > X
+        is p*S > P*s for X = P/S."""
+        p, s = x.numerator, x.denominator
+        X = self.X
+        if p < 0 or p * X.denominator > X.numerator * s:
+            raise DomainError(f"{what} {x} outside [0, {X}]")
+        return p, s
 
     # -- integration --------------------------------------------------------
 
@@ -165,7 +170,6 @@ class PiecewiseLaurent:
         blocker = None
         for k, piece in enumerate(self.pieces):
             prim = {}
-            const = cums[k]
             for e, c in sorted(piece.items()):
                 m = e + shift
                 if m == -1:
@@ -174,16 +178,13 @@ class PiecewiseLaurent:
                 if k == 0 and m < -1:
                     blocker = (k, DivergentAtZeroError(m))
                     break
-                c = c / (m + 1)
-                prim[m + 1] = c
-                if k:
-                    const = const - c * Fraction(k) ** (m + 1)
+                prim[m + 1] = c / (m + 1)
             if blocker:
                 break
             # m + 1 == 0 is the log case, so exponent 0 holds only the constant
-            prim[0] = const
+            prim[0] = cums[k] - _value(prim, k, 1) if k else cums[k]
             prims.append(prim)
-            cums.append(_value(prim, Fraction(k + 1)))
+            cums.append(_value(prim, k + 1, 1))
         self._int_cache[shift] = (cums, blocker, prims)
         return cums, blocker, prims
 
@@ -198,19 +199,19 @@ class PiecewiseLaurent:
         if weight not in _WEIGHT_SHIFT:
             raise ValueError(f"weight must be one of 1, 1/t, 1/t^2, not {weight!r}")
         shift = _WEIGHT_SHIFT[weight]
-        x = Fraction(x)
-        if x < 0 or x > self.X:
-            raise DomainError(f"integration endpoint {x} outside [0, {self.X}]")
-        if x == 0:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        p, s = self._in_domain(x, "integration endpoint")
+        if not p:
             return ConstLinear.zero()
         cums, blocker, prims = self._prefix(shift)
-        # x lies in the piece (k, k+1]
-        k = math.ceil(x) - 1
+        # x lies in the piece (k, k+1], k = ceil(x) - 1
+        k = (p - 1) // s
         if blocker is not None and blocker[0] <= k:
             raise blocker[1]
-        if x.denominator == 1:
+        if s == 1:
             return cums[k + 1]
-        return _value(prims[k], x)
+        return _value(prims[k], p, s)
 
     # -- text dump ----------------------------------------------------------
 

@@ -12,6 +12,7 @@ import pytest
 
 from errlab import cli
 from errlab.cli import main
+from errlab.exactnum import GaussianRational
 from errlab.piecewise import monomial
 from errlab.sequences import (convolve_id, mobius_sieve, read_sequence_csv, totient_sieve,
                               write_sequence_csv)
@@ -60,20 +61,76 @@ GOLDEN_OUTPUTS = {
                           "65a7cbc5242f1946934896a5a8c8d75605f44f233c47152964b92eb760a4715d"),
     "verify_mu_1000": (["verify", "--seq", "mu", "--X", "1000"], 0,
                        "d5f982c608454807ffb958e08c9202cf5316d4b00f156ddcf3425dc4f391c4aa"),
+    # the sieve and solve writers; "{seq}" holds rational and complex values,
+    # "{dump}" complex and symbolic coefficients, "{real_dump}" real scalars
+    "sieve_mu_1000": (["sieve", "--seq", "mu", "--N", "1000"], 0,
+                      "4f9f228e507b6854219c8765a47c300dd1ffecfa3a575d09e718c26207639ddd"),
+    "sieve_character_-3": (["sieve", "--seq", "mu_chi", "--D", "-3", "--emit", "character"], 0,
+                           "1751751677b430857a02894261f34421d1252cb70cae90d617a735c714de1093"),
+    "sieve_file_gaussian": (["sieve", "--seq", "file:{seq}", "--N", "10"], 0,
+                            "66285be4f529771cf74ddd91d5bbca0ba1d2b0c74d2553525ba26bd4aca0e84e"),
+    "solve_exact_complex_A": (["solve", "--input", "{dump}", "--A", "3/2+1/2*i",
+                               "--denom", "4"], 0,
+                              "29c6afc07ad7f7a75191b2a6e323c2fbd0f4bd2e021a698209f5ec5e23377eb3"),
+    "solve_numeric": (["solve", "--input", "{real_dump}", "--mode", "numeric", "--A=-2/3",
+                       "--denom", "5"], 0,
+                      "e8eda2257eca3428c2da68ab0fef193c7eb7ed326284f3eb629d28002696dad8"),
 }
 
+GOLDEN_SEQ = "n,value\n1,1/1\n2,-1/2\n3,3/2+1/2*i\n4,0/1\n5,-2/3+-5/4*i\n6,7/1\n7,0/1+1/9*i\n"
+GOLDEN_DUMP = ("X: 7/2\n"
+               "0: e2=1/2 + 1/3*A2 + 0/1*A1; e3=-1/5+1/7*i + 0/1*A2 + 2/1*A1\n"
+               "1: e-2=3/1 + 0/1*A2 + 0/1*A1; e0=-1/1 + 1/1*A2 + 0/1*A1; "
+               "e2=1/1 + 0/1*A2 + -1/6*A1\n"
+               "2: e-1=1/2 + 0/1*A2 + 0/1*A1; e3=0/1+2/3*i + 0/1*A2 + 0/1*A1\n"
+               "3: e0=5/1 + -1/2*A2 + 1/1*A1\n")
+GOLDEN_REAL_DUMP = ("X: 5/2\n"
+                    "0: e2=1/2 + 0/1*A2 + 0/1*A1; e3=-1/5 + 0/1*A2 + 0/1*A1\n"
+                    "1: e-2=3/1 + 0/1*A2 + 0/1*A1; e0=-1/1 + 0/1*A2 + 0/1*A1\n"
+                    "2: e-1=1/2 + 0/1*A2 + 0/1*A1; e3=2/3 + 0/1*A2 + 0/1*A1\n")
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
-def test_golden_output_bytes(name, tmp_path, capsys):
-    argv, expect_code, digest = GOLDEN_OUTPUTS[name]
+
+def golden_argv(name, tmp_path):
+    """The argv of a golden config with its input files written to tmp_path."""
     bfile = tmp_path / "b.csv"
     phi = totient_sieve(20)
     bfile.write_text("n,value\n" + "".join(
         f"{n},{phi.value(n) + (1 if n == 13 else 0)}/1\n" for n in range(1, 21)))
+    inputs = {"b": bfile}
+    for key, text in (("seq", GOLDEN_SEQ), ("dump", GOLDEN_DUMP),
+                      ("real_dump", GOLDEN_REAL_DUMP)):
+        inputs[key] = tmp_path / f"{key}.txt"
+        inputs[key].write_text(text)
+    return [s.format(**inputs) for s in GOLDEN_OUTPUTS[name][0]]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_golden_output_bytes(name, tmp_path, capsys):
+    _, expect_code, digest = GOLDEN_OUTPUTS[name]
     out = tmp_path / "out.csv"
-    code, _, _ = run([s.format(b=bfile) for s in argv] + ["-o", str(out)], capsys)
+    code, _, _ = run(golden_argv(name, tmp_path) + ["-o", str(out)], capsys)
     assert code == expect_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["verify_b_file", "table_mu_chi", "table_mu_chi_numeric",
+                                  "solve_exact_complex_A", "sieve_file_gaussian"])
+def test_stdout_matches_output_file(name, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, _, _ = run(golden_argv(name, tmp_path) + ["-o", str(out)], capsys)
+    code_stdout, stdout, _ = run(golden_argv(name, tmp_path), capsys)
+    assert code_stdout == code == GOLDEN_OUTPUTS[name][1]
+    assert stdout.encode() == out.read_bytes()
+
+
+def test_field_needing_quotes_exits_4(tmp_path, monkeypatch, capsys):
+    # the writer never quotes, so a field with a comma is a bug, not bad input
+    monkeypatch.setattr(GaussianRational, "to_text", lambda self: "1/1,0/1")
+    out = tmp_path / "out.csv"
+    code, _, err = run(["sieve", "--N", "5", "-o", str(out)], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert "error: internal: UnquotableFieldError" in err
+    assert out.read_text() == "n,value\n"
 
 
 MOD4_CHARACTER = "residue,value\n0,0\n1,1\n2,0\n3,-1\n"

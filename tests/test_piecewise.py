@@ -1,14 +1,16 @@
 """Piecewise Laurent calculus: evaluation conventions, exact integration,
 linear combination, exponent shifts and the text dump."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import RefConstLinear
 from errlab.errors import DivergentAtZeroError, DomainError, FormatError, LogCaseError
-from errlab.exactnum import ConstLinear
-from errlab.piecewise import PiecewiseLaurent, Side, monomial
+from errlab.exactnum import ConstLinear, GaussianRational
+from errlab.piecewise import EXP_MAX, EXP_MIN, PiecewiseLaurent, Side, monomial
 from errlab.sequences import mobius_sieve
 from errlab.volterra import build_fracpart_series, make_case
 
@@ -195,6 +197,146 @@ class TestIntegrate:
             if e >= 2:
                 second = second + c * (e * (e - 1)) * x ** (e - 2)
         assert avg_slope == f.eval_at(x) + second * (eps * eps / 6)
+
+
+# -- the integer evaluation kernel against a Fraction oracle ------------------
+
+# Rationals over ~1 kbit denominators, the divisors lcm(1..700)/k, next to
+# small ones; coefficients are real or complex
+LCM_700 = math.lcm(*range(1, 701))
+kernel_rationals = st.one_of(
+    small_fracs, st.builds(lambda n, k: Fraction(n, LCM_700 // k),
+                           st.integers(-LCM_700, LCM_700), st.integers(1, 700)))
+kernel_scalars = st.one_of(kernel_rationals,
+                           st.builds(GaussianRational, kernel_rationals, kernel_rationals))
+kernel_coeffs = st.tuples(kernel_scalars, kernel_scalars, kernel_scalars)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(f, reference pieces, x): pieces with exponents in [-2, 3], a domain
+    end that may or may not be covered by a piece, and a point of [0, X]."""
+    n = draw(st.integers(1, 4))
+    pieces, ref_pieces = [], []
+    for _ in range(n):
+        terms = draw(st.dictionaries(st.integers(EXP_MIN, EXP_MAX), kernel_coeffs, max_size=3))
+        pieces.append({e: ConstLinear(*c) for e, c in terms.items()})
+        ref_pieces.append({e: RefConstLinear(*c) for e, c in terms.items()})
+    X = draw(st.sampled_from([Fraction(n), Fraction(n - 1), n - Fraction(1, 3)]).filter(bool))
+    s = draw(st.sampled_from([1, 1, 2, 3, 7, 12, 10 ** 20 + 39]))
+    x = Fraction(draw(st.integers(0, math.floor(X * s))), s)
+    return PiecewiseLaurent(X, pieces), ref_pieces, x
+
+
+def _ref_piece_value(piece, x):
+    total = RefConstLinear()
+    for e, c in piece.items():
+        if c.is_zero():
+            continue
+        if e < 0 and not x:
+            raise DomainError("negative exponent evaluated at 0")
+        total = total + c * x ** e
+    return total
+
+
+def ref_eval(ref_pieces, x, side):
+    """The breakpoint conventions read off their definitions."""
+    k = math.floor(x)
+    if x.denominator != 1:
+        return _ref_piece_value(ref_pieces[k], x)
+    if side is Side.MIDPOINT:
+        return (ref_eval(ref_pieces, x, Side.LEFT) + ref_eval(ref_pieces, x, Side.RIGHT)) / 2
+    if side is Side.LEFT:
+        if k == 0:
+            raise DomainError("no left limit at 0")
+        return _ref_piece_value(ref_pieces[k - 1], x)
+    if side is Side.RIGHT and k >= len(ref_pieces):
+        raise DomainError(f"no right limit at the domain end {x}")
+    return _ref_piece_value(ref_pieces[min(k, len(ref_pieces) - 1)], x)
+
+
+def ref_integrate(ref_pieces, x, shift):
+    """integral_0^x f(t) t^shift dt, unit interval by unit interval."""
+    total = RefConstLinear()
+    for j in range(math.ceil(x)):
+        a, b = Fraction(j), min(Fraction(j + 1), x)
+        for e, c in sorted(ref_pieces[j].items()):
+            if c.is_zero():
+                continue
+            m = e + shift
+            if m == -1:
+                raise LogCaseError(j)
+            if j == 0 and m < -1:
+                raise DivergentAtZeroError(m)
+            total = total + c * (b ** (m + 1) - a ** (m + 1)) / (m + 1)
+    return total
+
+
+def assert_stored_as(got, ref):
+    """got holds the value of ref in lowest terms: the very numerators and
+    denominator the constructor stores for it."""
+    expect = ConstLinear(*(GaussianRational(re, im) for re, im in ref.c))
+    assert (got._n, got._d) == (expect._n, expect._d)
+    assert math.gcd(got._d, *got._n) == 1
+
+
+def assert_same_outcome(run, ref_run):
+    """run() returns what ref_run() returns, or raises the same type and message."""
+    try:
+        ref = ref_run()
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            run()
+        assert str(got.value) == str(exc)
+        return
+    assert_stored_as(run(), ref)
+
+
+class TestIntegerKernel:
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_eval_at_against_fraction_oracle(self, case):
+        f, ref_pieces, x = case
+        for side in Side:
+            assert_same_outcome(lambda: f.eval_at(x, side),
+                                lambda: ref_eval(ref_pieces, x, side))
+        if x.denominator == 1:
+            # an int point reads the same as its Fraction
+            assert_same_outcome(lambda: f.eval_at(int(x)),
+                                lambda: ref_eval(ref_pieces, x, Side.POINT))
+
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_integrate_against_fraction_oracle(self, case):
+        f, ref_pieces, x = case
+        for weight, shift in (("1", 0), ("1/t", -1), ("1/t^2", -2)):
+            assert_same_outcome(lambda: f.integrate(x, weight),
+                                lambda: ref_integrate(ref_pieces, x, shift))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: monomial(2, -1).eval_at(0), "negative exponent evaluated at 0"),
+        (lambda: monomial(2, -2).eval_at(0, Side.RIGHT), "negative exponent evaluated at 0"),
+        (lambda: monomial(2, 2).eval_at(0, Side.LEFT), "no left limit at 0"),
+        (lambda: monomial(2, 2).eval_at(0, Side.MIDPOINT), "no left limit at 0"),
+        (lambda: PiecewiseLaurent(2, [{0: ConstLinear(1)}, {1: ConstLinear(2)}]).eval_at(
+            2, Side.RIGHT), "no right limit at the domain end 2"),
+        (lambda: PiecewiseLaurent(2, [{0: ConstLinear(1)}, {1: ConstLinear(2)}]).eval_at(
+            2, Side.MIDPOINT), "no right limit at the domain end 2"),
+        (lambda: monomial(Fraction(5, 2), 1).eval_at(Fraction(-1, 3)),
+         "evaluation point -1/3 outside [0, 5/2]"),
+        (lambda: monomial(Fraction(5, 2), 1).eval_at(Fraction(18, 7)),
+         "evaluation point 18/7 outside [0, 5/2]"),
+        (lambda: monomial(Fraction(5, 2), 1).integrate(Fraction(-1, 3)),
+         "integration endpoint -1/3 outside [0, 5/2]"),
+        (lambda: monomial(Fraction(5, 2), 1).integrate(3, "1/t"),
+         "integration endpoint 3 outside [0, 5/2]"),
+    ], ids=["negative exponent at 0", "negative exponent at 0 right", "left at 0",
+            "midpoint at 0", "right at uncovered end", "midpoint at uncovered end",
+            "eval below 0", "eval above X", "integrate below 0", "integrate above X"])
+    def test_error_cases(self, call, message):
+        with pytest.raises(DomainError) as got:
+            call()
+        assert type(got.value) is DomainError and str(got.value) == message
 
 
 # -- text dump ----------------------------------------------------------------
