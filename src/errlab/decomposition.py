@@ -43,8 +43,6 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational, as_gaussian
 from .piecewise import PiecewiseLaurent, Side, monomial
@@ -103,8 +101,7 @@ def build_fracsquare_series(case: VolterraCase, h: PiecewiseLaurent,
     if twisted:
         units = repeat(0)
     else:
-        u = _divisor_pass(case.a, np.ones(len(h.pieces), dtype=np.int64))
-        units = accumulate(u.tolist() if isinstance(u, np.ndarray) else u)
+        units = accumulate(_divisor_pass(case.a, [1] * len(h.pieces)))
     pieces = []
     for k, (piece, U) in enumerate(zip(h.pieces, units)):
         lin = piece.get(0, zero) * -2 - a1_term

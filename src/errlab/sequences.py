@@ -7,9 +7,10 @@ summatory sums with the right-continuous convention, and float estimates of
 the series constants A2 = sum a(n)/n^2 and A1 = sum a(n)/n with certified
 error bounds.
 
-Integer-valued sequences are stored as numpy arrays and promoted to exact
-scalars lazily; file-loaded sequences may carry Fraction or GaussianRational
-values throughout.
+Only the sieves store numpy arrays: the Moebius and totient sieves and their
+twists.  Every other sequence holds a list of exact values (Python ints,
+Fraction or GaussianRational), a numpy array handed to ArithSequence
+included.
 """
 
 from __future__ import annotations
@@ -64,30 +65,37 @@ class ArithSequence:
     ``magnitude_bound`` is a rational B with |a(n)| <= B for every n, used for
     series tail bounds.  ``known_A1`` declares the exact value of
     sum_{n>=1} a(n)/n when that sum is known; for the Moebius function it is 0.
-    A numpy array of values must have an integer dtype; other values go in a
-    list.
+    ``values`` lists a(1..N); a numpy array holds a(0..N), with index 0
+    ignored, and must have an integer dtype.  Either way the sequence keeps
+    a list of the values as Python objects; only _sieved keeps an array.
     """
 
     def __init__(self, name: str, values, magnitude_bound: Optional[Fraction] = None,
                  known_A1: Optional[GaussianRational] = None):
-        self.name = name
         if isinstance(values, np.ndarray):
             if not np.issubdtype(values.dtype, np.integer):
                 raise TypeError(f"sequence {name!r}: numpy values need an integer "
                                 f"dtype, not {values.dtype}")
-            # index 0 is a padding slot; the builder's dtype is kept, and each
-            # consumer widens where its arithmetic needs it
-            self._arr = values
-            self._list = None
-            self.N = len(values) - 1
-        else:
-            vals = list(values)
-            self._arr = None
-            self._list = [0] + vals
-            self.N = len(vals)
+            values = values[1:].tolist()
+        self.name = name
+        self._arr = None
+        self._list = [0] + list(values)
+        self.N = len(self._list) - 1
         self.magnitude_bound = None if magnitude_bound is None else Fraction(magnitude_bound)
         self.known_A1 = known_A1
         self._prefix = None
+
+    @classmethod
+    def _sieved(cls, name: str, arr: np.ndarray, magnitude_bound=None,
+                known_A1=None) -> "ArithSequence":
+        """A sequence backed by a sieve's array arr, a(0..N) with index 0
+        padding: mobius_sieve's int8 values in {-1, 0, 1}, totient_sieve's
+        int64 values in [0, N], or a twist of either, which keeps its dtype
+        and stays within [-N, N].  N <= MAX_SIEVE = 2**24, so every prefix
+        sum fits an int64 and every value is within _a2_bins' limits."""
+        seq = cls(name, [], magnitude_bound, known_A1)
+        seq._arr, seq._list, seq.N = arr, None, len(arr) - 1
+        return seq
 
     def value(self, n: int) -> Value:
         if not 1 <= n <= self.N:
@@ -97,7 +105,7 @@ class ArithSequence:
         return self._list[n]
 
     def int_array(self) -> Optional[np.ndarray]:
-        """The raw integer array (index 0 padding) when integer-backed, else None."""
+        """The sieve's array (index 0 padding) for a sieve or its twist, else None."""
         return self._arr
 
     def prefix_sum(self, k: int) -> Value:
@@ -105,12 +113,10 @@ class ArithSequence:
         if not 0 <= k <= self.N:
             raise DomainError(f"index {k} outside 0..{self.N}")
         if self._prefix is None:
-            arr = self._arr
-            if arr is not None and _int64_safe(arr, self.N):
-                self._prefix = np.concatenate(([0], np.cumsum(arr[1:], dtype=np.int64)))
+            if self._arr is not None:
+                self._prefix = np.concatenate(([0], np.cumsum(self._arr[1:], dtype=np.int64)))
             else:
-                vals = self._list[1:] if arr is None else arr[1:].tolist()
-                self._prefix = [0] + list(accumulate(vals))
+                self._prefix = [0] + list(accumulate(self._list[1:]))
         v = self._prefix[k]
         return int(v) if self._arr is not None else v
 
@@ -148,12 +154,6 @@ class CharacterSpec:
             raise ValueError("character is principal (table does not sum to 0)")
 
 
-def _int64_safe(arr: np.ndarray, scale: int) -> bool:
-    """Whether scale times the largest magnitude in arr fits an int64, so
-    that any sum of at most scale terms of that magnitude cannot overflow."""
-    return scale * max(-int(arr.min()), int(arr.max())) <= np.iinfo(np.int64).max
-
-
 def _check_capacity(n: int) -> None:
     if n > MAX_SIEVE:
         raise CapacityError(f"range {n} exceeds the sieve budget {MAX_SIEVE}")
@@ -186,6 +186,9 @@ def _mobius_blocks(n: int):
     sqrt(n) is sieved, so at most one is missing and the product divides m,
     fitting int32; a squarefree m whose product is short of m takes one
     more sign flip.
+
+    Every block is written into the same buffers, so a yielded block is
+    valid only until the next one is requested.
     """
     # n < _WHEEL sieves one block of m <= n, which never wraps the pattern
     wheel = np.ones(min(_WHEEL, n + 1), dtype=np.int32)
@@ -196,6 +199,8 @@ def _mobius_blocks(n: int):
     primes = np.flatnonzero(_prime_mask(math.isqrt(n))).tolist()[4:]
     prod = np.empty(min(_SIEVE_BLOCK, n), dtype=np.int32)
     m = np.arange(1, prod.size + 1, dtype=np.int32)
+    signs = np.empty(prod.size, dtype=np.int8)
+    full = np.empty(prod.size, dtype=bool)
     for lo in range(1, n + 1, _SIEVE_BLOCK):
         size = min(_SIEVE_BLOCK, n + 1 - lo)
         pos, r = 0, lo % _WHEEL
@@ -209,13 +214,13 @@ def _mobius_blocks(n: int):
             first = -lo % (p * p)
             if first < size:
                 part[first::p * p] = 0
-        block = np.empty(size, dtype=np.int8)
+        block = signs[:size]
         np.sign(part, out=block, casting="unsafe")
         np.abs(part, out=part)
-        full = np.equal(part, m[:size]).view(np.int8)
-        full *= 2
-        full -= 1
-        block *= full
+        flip = np.equal(part, m[:size], out=full[:size]).view(np.int8)
+        flip *= 2
+        flip -= 1
+        block *= flip
         yield lo, block
         m += _SIEVE_BLOCK
 
@@ -226,8 +231,8 @@ def mobius_sieve(n: int) -> ArithSequence:
     mu = np.zeros(n + 1, dtype=np.int8)
     for lo, block in _mobius_blocks(n):
         mu[lo:lo + block.size] = block
-    return ArithSequence("mu", mu, magnitude_bound=Fraction(1),
-                         known_A1=GaussianRational(0))
+    return ArithSequence._sieved("mu", mu, magnitude_bound=Fraction(1),
+                                 known_A1=GaussianRational(0))
 
 
 def totient_sieve(n: int) -> ArithSequence:
@@ -238,7 +243,7 @@ def totient_sieve(n: int) -> ArithSequence:
     for p in primes:
         phi[p::p] -= phi[p::p] // p
     phi[0] = 0
-    return ArithSequence("phi", phi)
+    return ArithSequence._sieved("phi", phi)
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -304,64 +309,40 @@ def kronecker_character(d: int) -> CharacterSpec:
     return chi
 
 
-def _negatable_dtype(arr: np.ndarray):
-    """The first of arr's dtype and int64 that holds every value of arr and
-    its negation, or None when neither does."""
-    lo, hi = int(arr.min()), int(arr.max())
-    for dtype in (arr.dtype, np.dtype(np.int64)):
-        info = np.iinfo(dtype)
-        if info.min <= min(lo, -hi) and max(hi, -lo) <= info.max:
-            return dtype
-    return None
-
-
-def _chi_factors(chi: CharacterSpec, lo: int, size: int) -> np.ndarray:
-    """chi(lo), .., chi(lo + size - 1) as int8: the period table, tiled from
-    the offset lo mod q."""
-    start = lo % chi.q
-    reps = -(-(start + size) // chi.q)
-    return np.tile(np.asarray(chi.table, dtype=np.int8), reps)[start:start + size]
+def _chi_factors(chi: CharacterSpec, size: int) -> np.ndarray:
+    """chi(0), .., chi(size - 1) as int8: the period table repeated.  Sliced
+    from r = lo mod q, it holds chi(lo), chi(lo + 1), .. for size - r terms."""
+    return np.tile(np.asarray(chi.table, dtype=np.int8), -(-size // chi.q))[:size]
 
 
 def twist(a: ArithSequence, chi: CharacterSpec) -> ArithSequence:
     """Pointwise product a(n) * chi(n mod q); the magnitude bound survives.
 
-    An integer array is multiplied in its own dtype when that dtype is signed
-    and holds -a(n) for every n, else in int64 when int64 holds every value,
-    _SIEVE_BLOCK entries at a time; otherwise the product is taken on Python
-    ints.
+    A sieve's array is multiplied in its own dtype, which holds every
+    -a(n), _SIEVE_BLOCK entries at a time; other values are multiplied as
+    they are.
     """
     name = f"{a.name}*chi({chi.q})"
     arr = a.int_array()
-    dtype = None if arr is None else _negatable_dtype(arr)
-    if dtype is not None:
-        out = np.empty(a.N + 1, dtype=dtype)
-        for lo in range(0, a.N + 1, _SIEVE_BLOCK):
+    if arr is not None:
+        out = np.empty_like(arr)
+        table = _chi_factors(chi, min(_SIEVE_BLOCK, out.size) + chi.q)
+        for lo in range(0, out.size, _SIEVE_BLOCK):
             part = out[lo:lo + _SIEVE_BLOCK]
-            np.multiply(arr[lo:lo + part.size], _chi_factors(chi, lo, part.size),
-                        out=part, dtype=dtype)
-        return ArithSequence(name, out, magnitude_bound=a.magnitude_bound)
+            r = lo % chi.q
+            np.multiply(arr[lo:lo + part.size], table[r:r + part.size], out=part)
+        return ArithSequence._sieved(name, out, magnitude_bound=a.magnitude_bound)
     vals = [a.value(n) * chi.chi(n) for n in range(1, a.N + 1)]
     return ArithSequence(name, vals, magnitude_bound=a.magnitude_bound)
 
 
-def _divisor_pass(a: ArithSequence, w: np.ndarray):
+def _divisor_pass(a: ArithSequence, w: list):
     """out[m] = sum_{d|m} a(d) * w[m/d] for 1 <= m < len(w); index 0 is padding.
 
-    w is an int64 weight array indexed by the cofactor m/d (w[0] is unused):
-    the cofactors themselves give convolve_id, ones give the unit sum.  An
-    integer array is summed in int64 unless its values could overflow it.
+    w is a list of weights indexed by the cofactor m/d (w[0] is unused):
+    the cofactors themselves give convolve_id, ones give the unit sum.
     """
     upto = len(w) - 1
-    arr = a.int_array()
-    if arr is not None and _int64_safe(arr[:upto + 1], upto * int(np.abs(w).max())):
-        out = np.zeros(upto + 1, dtype=np.int64)
-        for d in range(1, upto + 1):
-            v = int(arr[d])
-            if v:
-                out[d::d] += v * w[1:upto // d + 1]
-        return out
-    w = w.tolist()
     out = [0] * (upto + 1)
     for d in range(1, upto + 1):
         v = a.value(d)
@@ -374,8 +355,7 @@ def _divisor_pass(a: ArithSequence, w: np.ndarray):
 
 def convolve_id(a: ArithSequence) -> ArithSequence:
     """b(n) = sum_{d|n} a(d) * (n/d) for n <= a.N, by divisor passes."""
-    out = _divisor_pass(a, np.arange(a.N + 1, dtype=np.int64))
-    return ArithSequence(f"({a.name})*Id", out if isinstance(out, np.ndarray) else out[1:])
+    return ArithSequence(f"({a.name})*Id", _divisor_pass(a, list(range(a.N + 1)))[1:])
 
 
 def summatory(b: ArithSequence, x) -> GaussianRational:
@@ -470,25 +450,15 @@ def _a2_bins(blocks) -> float:
     return sum(s << (shift - k) for s, k in scaled) / (1 << shift)
 
 
-def _int_a2(arr: np.ndarray) -> float:
-    """math.fsum of the floats int(arr[n]) / (n*n) over n >= 1: _a2_bins on
-    arr[1:] when the array is within its limits, else Python's int / int and
-    math.fsum term by term."""
-    if not (arr.size <= 1 << 26 and -(1 << 24) <= int(arr.min())
-            and int(arr.max()) <= 1 << 24):
-        return math.fsum(v / (n * n) for n, v in enumerate(arr.tolist()) if n)
-    return _a2_bins([(1, arr[1:])])
-
-
 def _partial_a2(a: ArithSequence) -> complex:
     """Float partial sum of a(n)/n^2 over the stored range, ascending n.
 
-    math.fsum is correctly rounded, so an integer array may sum its terms
-    in any order and grouping that is exact.
+    math.fsum is correctly rounded, so a sieve's array may sum its terms
+    in any order and grouping that is exact, as _a2_bins does.
     """
     arr = a.int_array()
     if arr is not None:
-        return complex(_int_a2(arr))
+        return complex(_a2_bins([(1, arr[1:])]))
     re = []
     im = []
     for n in range(1, a.N + 1):
@@ -554,9 +524,12 @@ def mobius_constants(n: int, chi: Optional[CharacterSpec] = None,
     _check_capacity(n)
 
     def blocks():
+        if chi is not None:
+            table = _chi_factors(chi, min(_SIEVE_BLOCK, n) + chi.q)
         for lo, block in _mobius_blocks(n):
             if chi is not None:
-                block *= _chi_factors(chi, lo, block.size)
+                r = lo % chi.q
+                block *= table[r:r + block.size]
             yield lo, block
 
     known_A1 = GaussianRational(0) if chi is None else None

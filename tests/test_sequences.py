@@ -13,13 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (divisor_sum_oracle, floor_identity_oracle, mobius_oracle,
                       mobius_per_prime_sieve, quadratic_residue_character, totient_oracle,
                       unit_divisor_sum_oracle)
-from errlab import sequences
 from errlab.errors import (CapacityError, DomainError, FormatError, PrecisionError,
                            UncertifiableSeriesError)
 from errlab.exactnum import GaussianRational, as_gaussian
 from errlab.sequences import (_A2_CHUNK, _A2_HALF, _SIEVE_BLOCK, _WHEEL, MAX_SIEVE,
                               ArithSequence, CharacterSpec, _a2_bins, _divisor_pass,
-                              _int64_safe, _partial_a2, convolve_id, floor_sum,
+                              _partial_a2, convolve_id, floor_sum,
                               is_fundamental_discriminant, kronecker_character,
                               kronecker_symbol, mobius_constants, mobius_sieve,
                               numeric_constants, read_character_csv, read_sequence_csv,
@@ -167,10 +166,10 @@ class TestTwistAndConvolution:
         # no block start here, so each block's table offset differs
         chi = kronecker_character(D)
         N = 2 * _SIEVE_BLOCK + 1
-        for a in (mobius_sieve(N), ArithSequence("w", np.arange(N + 1, dtype=np.int64))):
-            arr = a.int_array()
-            expect = arr * np.array(chi.table)[np.arange(N + 1) % chi.q]
-            assert np.array_equal(twist(a, chi).int_array(), expect)
+        for a in (mobius_sieve(N), totient_sieve(N)):
+            t = twist(a, chi)
+            assert [t.value(n) for n in range(1, N + 1)] == \
+                [a.value(n) * chi.chi(n) for n in range(1, N + 1)]
 
     def test_convolution_is_totient(self):
         mu = mobius_sieve(500)
@@ -216,11 +215,11 @@ def _int_backed(name, N):
 
 def _ones(N):
     """Unit weights for _divisor_pass: the unit divisor sum up to N."""
-    return np.ones(N + 1, dtype=np.int64)
+    return [1] * (N + 1)
 
 
 def _consumer_outputs(seq, chi):
-    """What every consumer of seq.int_array() makes of seq, as Python values."""
+    """What every consumer of a sequence makes of seq, as Python values."""
     N = seq.N
     t = twist(seq, chi)
     b = convolve_id(seq)
@@ -229,7 +228,7 @@ def _consumer_outputs(seq, chi):
         "value": [seq.value(n) for n in range(1, N + 1)],
         "prefix_sum": [seq.prefix_sum(k) for k in range(N + 1)],
         "convolve_id": [b.value(n) for n in range(1, N + 1)],
-        "unit divisor sum": [int(v) for v in _divisor_pass(seq, _ones(N))[1:]],
+        "unit divisor sum": _divisor_pass(seq, _ones(N))[1:],
         "twist": [t.value(n) for n in range(1, N + 1)],
         "_partial_a2": _partial_a2(seq).real.hex(),
         "_partial_a2 of twist": _partial_a2(t).real.hex(),
@@ -239,7 +238,7 @@ def _consumer_outputs(seq, chi):
 
 
 def _narrow_arrays():
-    """Narrow integer arrays (index 0 padding) whose values stress their dtype."""
+    """Narrow integer arrays (index 0 padding) holding their dtype's extremes."""
     rng = np.random.default_rng(7)
     extremes = rng.choice([-128, 127, -1, 0, 1], size=61)
     extremes[:4] = [0, 127, -128, -128]     # chi(2) = -1 for D = -3 and 5, chi(3) for -4
@@ -252,8 +251,8 @@ def _narrow_arrays():
 
 
 class TestIntArrayPaths:
-    """The integer-array fast paths against a list-backed copy, the oracles and
-    an int64-backed copy of a narrower array."""
+    """Sieve-backed sequences against a list-backed copy and the oracles, and
+    narrow user arrays against an int64 copy."""
 
     @pytest.mark.parametrize("D", [-3, -4, 5])
     @pytest.mark.parametrize("name", list(_narrow_arrays()))
@@ -261,7 +260,6 @@ class TestIntArrayPaths:
         arr = _narrow_arrays()[name]
         narrow = ArithSequence("narrow", arr)
         wide = ArithSequence("wide", arr.astype(np.int64))
-        assert narrow.int_array().dtype == arr.dtype
         chi = kronecker_character(D)
         got, expect = _consumer_outputs(narrow, chi), _consumer_outputs(wide, chi)
         for key in expect:
@@ -270,12 +268,8 @@ class TestIntArrayPaths:
 
     def test_twist_keeps_int8_and_widens_only_past_negation(self):
         chi = kronecker_character(-3)
-        assert twist(mobius_sieve(100), chi).int_array().dtype == np.int8
-        assert twist(ArithSequence("s", np.array([0, 1, -127], dtype=np.int8)),
-                     chi).int_array().dtype == np.int8
         low = ArithSequence("s", np.array([0, 1, -128], dtype=np.int8))
         assert twist(low, chi).value(2) == 128
-        # -min(int64) needs Python ints
         top = np.iinfo(np.int64)
         edge = ArithSequence("s", np.array([0, top.max, top.min], dtype=np.int64))
         assert [twist(edge, chi).value(n) for n in (1, 2)] == [top.max, -top.min]
@@ -295,7 +289,7 @@ class TestIntArrayPaths:
         assert [listed.prefix_sum(k) for k in range(N + 1)] == prefix
 
         b, b_list = convolve_id(seq), convolve_id(listed)
-        assert b.int_array() is not None and b.N == b_list.N == N
+        assert b.N == b_list.N == N
         for n in range(1, N + 1):
             assert b.value(n) == b_list.value(n)
             assert as_gaussian(b.value(n)) == divisor_sum_oracle(seq, n)
@@ -303,7 +297,7 @@ class TestIntArrayPaths:
         u, u_list = _divisor_pass(seq, _ones(N)), _divisor_pass(listed, _ones(N))
         for n in range(1, N + 1):
             assert u[n] == u_list[n]
-            assert as_gaussian(int(u[n])) == unit_divisor_sum_oracle(seq, n)
+            assert as_gaussian(u[n]) == unit_divisor_sum_oracle(seq, n)
 
     def test_int64_overflow_takes_python_ints(self):
         arr = np.array([0, 2 ** 63 - 1, 1])
@@ -314,13 +308,26 @@ class TestIntArrayPaths:
         assert [listed.prefix_sum(k) for k in range(3)] == prefix
         assert _divisor_pass(seq, _ones(2))[2] == _divisor_pass(listed, _ones(2))[2] == 2 ** 63
 
-    def test_built_arrays_stay_on_numpy(self):
-        mu = mobius_sieve(100)
-        for seq in (mu, twist(mu, kronecker_character(-3)), convolve_id(mu)):
-            assert convolve_id(seq).int_array() is not None
-            assert isinstance(_divisor_pass(seq, _ones(100)), np.ndarray)
-        # at the sieve cap too: |mu(n)| <= 1 under the cofactor weights n/d <= N
-        assert _int64_safe(mu.int_array(), MAX_SIEVE * MAX_SIEVE)
+    def test_only_sieves_keep_arrays(self):
+        # a user array is copied to Python ints, whatever its dtype; only the
+        # sieves and their twists keep an array, with values within [-N, N]
+        # for N <= MAX_SIEVE, so their int64 prefix sums cannot overflow
+        assert MAX_SIEVE ** 2 < 2 ** 63
+        chi = kronecker_character(-4)
+        for dtype in (np.int8, np.uint8, np.int16, np.int64):
+            info = np.iinfo(dtype)
+            vals = [v for v in (-128, 255, 2 ** 63 - 1, -(2 ** 63 - 1))
+                    if info.min <= v <= info.max] + [1]
+            seq = ArithSequence("user", np.array([0] + vals, dtype=dtype))
+            assert all(s.int_array() is None for s in (seq, convolve_id(seq), twist(seq, chi)))
+            got = _consumer_outputs(seq, chi)
+            assert got == _consumer_outputs(ArithSequence("list", vals), chi), dtype
+            for key in ("value", "prefix_sum", "convolve_id", "twist"):
+                assert all(type(v) is int for v in got[key]), (dtype, key)
+            assert got["value"] == vals
+        mu, phi = mobius_sieve(10), totient_sieve(10)
+        for s in (mu, phi, twist(mu, chi), twist(phi, chi)):
+            assert s.int_array() is not None
 
 
 class TestSummatory:
@@ -447,8 +454,7 @@ class TestNumericConstants:
                 ArithSequence("big", np.array([0, 3, 2 ** 53 + 1, -(2 ** 53) - 1, 7],
                                               dtype=np.int64))]
         for seq in seqs:
-            arr = seq.int_array()
-            expect = math.fsum([int(arr[n]) / (n * n) for n in range(1, seq.N + 1)])
+            expect = math.fsum([seq.value(n) / (n * n) for n in range(1, seq.N + 1)])
             assert _partial_a2(seq).real.hex() == expect.hex(), seq
 
     @settings(max_examples=80, deadline=None)
@@ -468,6 +474,9 @@ class TestNumericConstants:
         arr = np.concatenate(([0], vals)).astype(dtype)
         expect = math.fsum([int(arr[n]) / (n * n) for n in range(1, N + 1)])
         assert _partial_a2(ArithSequence("r", arr)).real.hex() == expect.hex()
+        if bits <= 24:
+            # within the kernel's limits, where a sieve's array is summed
+            assert _a2_bins([(1, arr[1:])]).hex() == expect.hex()
 
     @settings(max_examples=60, deadline=None)
     @given(starts=st.lists(st.tuples(st.integers(1, 25), st.integers(-40, 40),
@@ -499,18 +508,6 @@ class TestNumericConstants:
         block = np.full(_A2_CHUNK, v, dtype=np.int64)
         expect = math.fsum([v / (n * n) for n in range(_A2_CHUNK, 2 * _A2_CHUNK)])
         assert _a2_bins([(_A2_CHUNK, block)]).hex() == expect.hex()
-
-    @pytest.mark.parametrize("top,kernel", [(2 ** 24, True), (-(2 ** 24), True),
-                                            (2 ** 24 + 1, False), (-(2 ** 24) - 1, False)])
-    def test_partial_a2_kernel_limit(self, monkeypatch, top, kernel):
-        # one value past 2**24 in magnitude sends the array to math.fsum
-        calls = []
-        monkeypatch.setattr(sequences, "_a2_bins",
-                            lambda blocks: calls.append(1) or _a2_bins(blocks))
-        arr = np.array([0, 3, top, -7, 1, top // 3], dtype=np.int64)
-        expect = math.fsum([int(arr[n]) / (n * n) for n in range(1, arr.size)])
-        assert _partial_a2(ArithSequence("edge", arr)).real.hex() == expect.hex()
-        assert bool(calls) == kernel
 
     def test_a2_kernel_limits_hold(self):
         # t * 2**k is at most 2**(54 + 24): each chunk's high and low sums must

@@ -1,5 +1,6 @@
-"""Every name a library module or a demo imports is used there, and every
-private module-level name is used somewhere in the library.
+"""Every name a library module or a demo imports is used there, every
+private module-level name is used somewhere in the library, and only
+``sequences.py`` imports numpy.
 
 A stdlib-``ast`` stand-in for pyflakes' unused-import check.  ``__future__``
 imports, the re-exports of ``__init__.py`` and names listed in ``__all__``
@@ -76,6 +77,34 @@ def test_check_catches_an_unused_import(tmp_path):
                    "from math import floor as fl, ceil\n"
                    "__all__ = ['ceil']\n\ndef f(x: 'Path') -> int:\n    return fl(x)\n")
     assert unused_imports(mod) == ["m.py:2: os", "m.py:2: sys"]
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def numpy_importers(paths):
+    """The names of the modules in ``paths`` that import numpy or a submodule."""
+    return [path.name for path in paths
+            if any(module.split(".")[0] == "numpy" for module in
+                   _imported_modules(ast.parse(path.read_text(), filename=str(path))))]
+
+
+def test_numpy_only_in_sequences():
+    # the sieves are the one numpy user left
+    assert numpy_importers(sorted(SRC.glob("*.py"))) == ["sequences.py"]
+
+
+def test_check_catches_a_numpy_import(tmp_path):
+    for name, text in [("a.py", "import numpy as np\n"), ("b.py", "from numpy import int8\n"),
+                       ("c.py", "def f():\n    import numpy.linalg\n"),
+                       ("d.py", "import numbers\nfrom . import numpy_like\n")]:
+        (tmp_path / name).write_text(text)
+    assert numpy_importers(sorted(tmp_path.glob("*.py"))) == ["a.py", "b.py", "c.py"]
 
 
 def _private_definitions(tree):
