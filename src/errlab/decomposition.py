@@ -18,6 +18,8 @@ where E1 is the midpoint normalization of E at integers; this version holds
 for all x >= 0 and both sides are affine in A1 = sum mu(d)chi(d)/d, whose
 coefficients cancel identically in the residual.
 
+The arithmetic part x f is the Volterra solution solution_family(h, A) of
+the fractional-part series h at A = 0 (plain) or A = A1/2 (twisted).
 Series tails over n > x are folded into the symbolic constants, so every
 piece is an exact Laurent polynomial with ConstLinear coefficients.  When a
 sequence declares an exact A1 (the Moebius function declares 0) the symbol is
@@ -29,7 +31,7 @@ sequence is sieved and convolved once, by the caller; the case's ``b`` feeds
 the error term and its ``b_true`` feeds the series.  g is a piece map of
 the built fractional-part series h, whose constants it reads rather than
 accumulates again.  split_at reads E, E_AR and E_AN at a point under the one
-breakpoint convention of both splits.
+breakpoint convention of both splits, and the growth statistic reads E.
 
 verify_suites runs every exact identity suite of a case on a grid; the CLI's
 ``verify`` and the acceptance gate both read its report.
@@ -48,9 +50,9 @@ from .exactnum import ConstLinear, GaussianRational, as_gaussian
 from .piecewise import PiecewiseLaurent, Side, monomial
 from .report import VerificationReport
 from .sequences import (ArithSequence, CharacterSpec, _divisor_pass, _partial_a2,
-                        convolve_id, floor_sum, mobius_sieve, summatory,
+                        floor_sum, mobius_sieve, summatory,
                         summatory_via_floor_identity, twist)
-from .volterra import (VolterraCase, build_error_term, build_fracpart_series,
+from .volterra import (VolterraCase, build_error_term, build_fracpart_series, make_case,
                        remainder_integral_residual, residual, resolvent_function,
                        solution_family)
 
@@ -115,48 +117,33 @@ class DecompositionCase:
 
     kind: str                    # "untwisted" | "twisted"
     error: PiecewiseLaurent
-    arithmetic_series: PiecewiseLaurent   # f: E_AR(x) = x * f(x)
+    arithmetic_part: PiecewiseLaurent     # E_AR = solution_family(h, A)
     analytic_part: PiecewiseLaurent       # E_AN as a function
 
 
-def _halved(g: PiecewiseLaurent, shift: ConstLinear) -> PiecewiseLaurent:
-    """E_AN = g/2 + shift on every piece."""
+def _parts(case: VolterraCase, twisted: bool):
+    """(E_AR, E_AN) on [0, X]: E_AR = solution_family(h, A), E_AN = g/2 + c,
+    with A = 0 and c = 1/2 in the plain shape, A = A1/2 and c = 0 in the
+    twisted one.  h and g die on return, before the caller builds E."""
+    h = build_fracpart_series(case)
     half = Fraction(1, 2)
-    return PiecewiseLaurent(g.X, [{**{e: c * half for e, c in p.items()},
-                                   0: p.get(0, ConstLinear.zero()) * half + shift}
-                                  for p in g.pieces])
+    c = ConstLinear.scalar(0 if twisted else half)
+    an = PiecewiseLaurent(case.X, [{**{e: v * half for e, v in p.items()},
+                                    0: p.get(0, ConstLinear.zero()) * half + c}
+                                   for p in build_fracsquare_series(case, h, twisted).pieces])
+    return solution_family(h, _a1_form(case.a) * half if twisted else 0), an
 
 
 def untwisted_case(case: VolterraCase) -> DecompositionCase:
     """The Moebius/totient decomposition of a Moebius case on [0, X]."""
-    h = build_fracpart_series(case)
-    an = _halved(build_fracsquare_series(case, h), ConstLinear.scalar(Fraction(1, 2)))
-    return DecompositionCase("untwisted", build_error_term(case), h, an)
-
-
-def _plus_half_a1(h: PiecewiseLaurent, a: ArithSequence) -> PiecewiseLaurent:
-    """The sawtooth series sum (a(d)/d) s(x/d), s(y) = 1/2 - {y}, from the
-    fractional-part series h of a: h + A1/2 on every piece.
-
-    Midpoint evaluation at integers reproduces the sawtooth normalized to 0
-    there; the representation is valid on (0, X] (at 0 itself the series is
-    0 by the integer convention while the right limit is A1/2).
-    """
-    half_a1 = _a1_form(a) * Fraction(1, 2)
-    return PiecewiseLaurent(h.X, [{**p, 0: p.get(0, ConstLinear.zero()) + half_a1}
-                                  for p in h.pieces])
+    ar, an = _parts(case, twisted=False)
+    return DecompositionCase("untwisted", build_error_term(case), ar, an)
 
 
 def twisted_case(case: VolterraCase) -> DecompositionCase:
-    """The decomposition on [0, X] of a case whose sequence is the Moebius
-    function twisted by a real non-principal character."""
-    h = build_fracpart_series(case)
-    # g dies once halved and h once shifted, so neither is alive while E is
-    # built: the peak holds the three parts of the split and no more
-    an = _halved(build_fracsquare_series(case, h, twisted=True), ConstLinear.zero())
-    f = _plus_half_a1(h, case.a)
-    del h
-    return DecompositionCase("twisted", build_error_term(case), f, an)
+    """The decomposition on [0, X] of a Moebius case twisted by a character."""
+    ar, an = _parts(case, twisted=True)
+    return DecompositionCase("twisted", build_error_term(case), ar, an)
 
 
 def _side_for(case: DecompositionCase, x: Fraction) -> Side:
@@ -174,7 +161,7 @@ def split_at(case: DecompositionCase, x):
     if type(x) is not Fraction:
         x = Fraction(x)
     side = _side_for(case, x)
-    return (case.error.eval_at(x, side), case.arithmetic_series.eval_at(x, side) * x,
+    return (case.error.eval_at(x, side), case.arithmetic_part.eval_at(x, side),
             case.analytic_part.eval_at(x, side))
 
 
@@ -205,24 +192,21 @@ def trivial_character_relations(case: VolterraCase,
     """Exact checks that the all-ones twist collapses to the plain objects.
 
     ``case`` is a case of the Moebius function; its sequence and ``b_true``
-    are read on [1, case.X].  With the Moebius declared A1 = 0 folded in,
-    f(x, triv) - f(x) must vanish and g(x, triv) - g(x) must equal 1 at every
-    non-integer grid point of [1, X]; alongside,
+    are read on [1, case.X].  The parts of its twisted split (with the
+    Moebius declared A1 = 0) and of its plain split are compared at every
+    non-integer grid point of [1, X]: (E_AR,triv - E_AR)/x = f(x, triv) - f(x) and
+    2 (E_AN,triv - E_AN) = g(x, triv) - g(x) - 1 must vanish; alongside,
     sum_{d<=x} mu(d) floor(x/d) = 1 on the same grid.
     """
     X, a = case.X, case.a
-    f_plain = build_fracpart_series(case)
-    f_triv = _plus_half_a1(f_plain, a)
-    g_plain = build_fracsquare_series(case, f_plain)
-    g_triv = build_fracsquare_series(case, f_plain, twisted=True)
-    one = ConstLinear.scalar(1)
+    (ar, an), (ar_triv, an_triv) = _parts(case, False), _parts(case, True)
     report = VerificationReport()
     for k in range(grid_denominator, math.floor(X * grid_denominator) + 1):
         x = Fraction(k, grid_denominator)
         if x.denominator == 1:
             continue
-        report.add("trivial_f", x, f_triv.eval_at(x) - f_plain.eval_at(x))
-        report.add("trivial_g", x, g_triv.eval_at(x) - g_plain.eval_at(x) - one)
+        report.add("trivial_f", x, (ar_triv.eval_at(x) - ar.eval_at(x)) / x)
+        report.add("trivial_g", x, (an_triv.eval_at(x) - an.eval_at(x)) * 2)
         report.add("mertens_floor", x, floor_sum(a, x) - as_gaussian(1))
     return report
 
@@ -311,8 +295,8 @@ GROWTH_SAMPLE_STEP = 10
 GROWTH_SAMPLE_END = 10_000
 
 # Pinned reference maxima of |E(x)| / (x log x) over the sample grid,
-# computed by this module's deterministic float pipeline and committed so
-# re-runs must reproduce them bit for bit.
+# computed by growth_max_ratio's deterministic float pipeline and committed
+# so re-runs must reproduce them bit for bit.
 FROZEN_GROWTH_MAX = {
     "mu": float.fromhex("0x1.b6875272a7c14p-4"),        # 0.10706264692497341
     "mu_chi_-3": float.fromhex("0x1.11fa3b9b682dcp-5"),  # 0.03344451562884895
@@ -323,23 +307,15 @@ def growth_max_ratio(chi: Optional[CharacterSpec] = None) -> float:
     """max over x in {step, 2 step, .., end} of |E(x)| / (x log x), in floats,
     with step = GROWTH_SAMPLE_STEP and end = GROWTH_SAMPLE_END.
 
-    Deterministic by construction: the summatory values are exact integers,
-    the numeric A2 is the fsum partial sum of a(n)/n^2 over n <= end in
-    ascending order, and the untwisted/twisted conventions are the
-    right-continuous and midpoint values.
+    Deterministic by construction: ConstLinear.numeric reads the exact E at
+    right limits (untwisted) or midpoints (twisted), with A2 the ascending
+    fsum partial sum of a(n)/n^2 over n <= end.
     """
     a = mobius_sieve(GROWTH_SAMPLE_END)
     if chi is not None:
         a = twist(a, chi)
-    b = convolve_id(a)
     a2 = _partial_a2(a).real
-    best = 0.0
-    for x in range(GROWTH_SAMPLE_STEP, GROWTH_SAMPLE_END + 1, GROWTH_SAMPLE_STEP):
-        s = float(b.prefix_sum(x))
-        if chi is not None:
-            s -= 0.5 * float(b.value(x))   # midpoint value at the integer x
-        e = s - 0.5 * a2 * (float(x) * float(x))
-        ratio = abs(e) / (x * math.log(x))
-        if ratio > best:
-            best = ratio
-    return best
+    E = build_error_term(make_case(a, GROWTH_SAMPLE_END))
+    side = Side.RIGHT if chi is None else Side.MIDPOINT
+    return max(abs(E.eval_at(x, side).numeric(a2, 0.0).real) / (x * math.log(x))
+               for x in range(GROWTH_SAMPLE_STEP, GROWTH_SAMPLE_END + 1, GROWTH_SAMPLE_STEP))

@@ -73,7 +73,7 @@ def hurwitz_zeta_deflated(s: float, a: float, terms: int = 32, order: int = 8):
     return value, bound
 
 
-def dirichlet_l(s: float, chi, terms: int = 32, order: int = 8):
+def dirichlet_l(s: float, chi):
     """Return (value, error_bound) for L(s, chi), real non-principal chi.
 
     ``chi`` is a CharacterSpec-like object with fields ``q`` and ``table``.
@@ -88,7 +88,7 @@ def dirichlet_l(s: float, chi, terms: int = 32, order: int = 8):
         c = chi.table[r]
         if not c:
             continue
-        val, bound = hurwitz_zeta_deflated(float(s), r / q, terms=terms, order=order)
+        val, bound = hurwitz_zeta_deflated(float(s), r / q)
         total += c * val
         err += bound
     return qs * total, qs * err

@@ -300,13 +300,13 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 def kronecker_character(d: int) -> CharacterSpec:
     """The real non-principal character mod |d| attached to a fundamental
-    discriminant d, as a validated period table."""
+    discriminant d, as its period table.  The Kronecker symbol is a character
+    by construction, so the table skips CharacterSpec.validate, whose
+    multiplicativity check is quadratic in |d|."""
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant with |d| >= 3")
     q = abs(d)
-    chi = CharacterSpec(q, tuple(kronecker_symbol(d, r) for r in range(q)))
-    chi.validate()
-    return chi
+    return CharacterSpec(q, tuple(kronecker_symbol(d, r) for r in range(q)))
 
 
 def _chi_factors(chi: CharacterSpec, size: int) -> np.ndarray:
@@ -454,7 +454,9 @@ def _partial_a2(a: ArithSequence) -> complex:
     """Float partial sum of a(n)/n^2 over the stored range, ascending n.
 
     math.fsum is correctly rounded, so a sieve's array may sum its terms
-    in any order and grouping that is exact, as _a2_bins does.
+    in any order and grouping that is exact, as _a2_bins does.  An int value
+    is divided directly: int / int rounds correctly, as the float of a
+    Gaussian value's Fraction does.
     """
     arr = a.int_array()
     if arr is not None:
@@ -462,10 +464,14 @@ def _partial_a2(a: ArithSequence) -> complex:
     re = []
     im = []
     for n in range(1, a.N + 1):
-        g = as_gaussian(a.value(n))
+        v = a.value(n)
         nn = n * n
-        re.append(g.re / nn)
-        im.append(g.im / nn)
+        if type(v) is int:
+            re.append(v / nn)
+        else:
+            g = as_gaussian(v)
+            re.append(g.re / nn)
+            im.append(g.im / nn)
     return complex(math.fsum(re), math.fsum(im))
 
 

@@ -109,10 +109,13 @@ def build_fracpart_series(case: VolterraCase) -> PiecewiseLaurent:
 def solution_family(h: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
     """F(x) = (h(x) + A) x with h = build_fracpart_series(case); F(0) = 0.
 
+    A is a Gaussian rational or a ConstLinear form, so the free constant may
+    itself be symbolic (the twisted split's arithmetic part is A = A1/2).
     Over the zero function h = monomial(X, 0, 0) it is A x, the solution of
     the homogeneous equation.
     """
-    A = ConstLinear(A)
+    if not isinstance(A, ConstLinear):
+        A = ConstLinear(A)
     pieces = []
     for piece in h.pieces:
         # t * (h + A) lifts each exponent e onto e + 1 and A onto 1

@@ -39,8 +39,8 @@ def twisted(chi, X):
 
 
 def sawtooth_series(chi, X):
-    """f(x, chi) = sum (mu(d)chi(d)/d) s(x/d), the twisted arithmetic series."""
-    return twisted(chi, X).arithmetic_series
+    """E_AR(x, chi) = x f(x, chi), f(x, chi) = sum (mu(d)chi(d)/d) s(x/d)."""
+    return twisted(chi, X).arithmetic_part
 
 
 class TestFracsquareSeries:
@@ -151,7 +151,8 @@ class TestFracsquareListPath:
 class TestSawtoothSeries:
     def test_tail_only_value(self):
         f = sawtooth_series(kronecker_character(-4), 12)
-        assert f.eval_at(Fraction(1, 2)) == A1(Fraction(1, 2)) + A2(Fraction(-1, 2))
+        x = Fraction(1, 2)
+        assert f.eval_at(x) / x == A1(Fraction(1, 2)) + A2(Fraction(-1, 2))
 
     def test_integer_midpoint_matches_normalized_sawtooth(self):
         # at integers the divisor terms drop out (s vanishes there); the
@@ -170,7 +171,7 @@ class TestSawtoothSeries:
             expect = (ConstLinear(finite)
                       + (A1(1) - ConstLinear(p1)) * Fraction(1, 2)
                       - (A2(1) - ConstLinear(p2)) * x)
-            assert f.eval_at(x, Side.MIDPOINT) == expect, x
+            assert f.eval_at(x, Side.MIDPOINT) / x == expect, x
 
     def test_differs_from_fracpart_series_by_half_a1(self):
         a = twist(mobius_sieve(20), kronecker_character(-3))
@@ -180,13 +181,14 @@ class TestSawtoothSeries:
             x = Fraction(k, 3)
             if x.denominator == 1:
                 continue
-            assert f.eval_at(x) - h.eval_at(x) == A1(Fraction(1, 2)), x
+            assert f.eval_at(x) / x - h.eval_at(x) == A1(Fraction(1, 2)), x
 
     def test_mobius_known_a1_folds_to_fracpart_series(self):
         case = case_of(mobius_sieve(20))
-        f = twisted_case(case).arithmetic_series
+        f = twisted_case(case).arithmetic_part
         h = build_fracpart_series(case)
-        assert f.eval_at(Fraction(7, 3)) == h.eval_at(Fraction(7, 3))
+        x = Fraction(7, 3)
+        assert f.eval_at(x) / x == h.eval_at(x)
 
 
 class TestDecompose:

@@ -1,7 +1,9 @@
-"""The walkthroughs in demos/ print fixed text: pin the SHA-256 of each stdout."""
+"""The walkthroughs in demos/ print fixed text: pin the SHA-256 of each stdout.
+The python examples in README.md must run as written."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,15 +20,35 @@ DEMO_DIGESTS = {
 }
 
 
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.M | re.S)
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
 def test_every_demo_is_pinned():
     assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(DEMO_DIGESTS)
 
 
 @pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
 def test_demo_stdout_bytes(name):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=_env(),
                           capture_output=True, check=True, timeout=120)
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_DIGESTS[name]
+
+
+def test_readme_has_python_examples():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+def test_readme_python_block_runs(index):
+    # each block runs alone in a fresh interpreter, so it must import what it uses
+    proc = subprocess.run([sys.executable, "-c", README_BLOCKS[index]], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

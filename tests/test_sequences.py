@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -121,6 +122,18 @@ class TestCharacters:
         assert not is_fundamental_discriminant(d)
         with pytest.raises(ValueError):
             kronecker_character(d)
+
+    def test_large_modulus_table_is_linear_time(self):
+        # 100001 = 11 * 9091 is 1 mod 4; an O(q^2) check of the table would
+        # take minutes here
+        d = 100001
+        start = time.perf_counter()
+        chi = kronecker_character(d)
+        assert time.perf_counter() - start < 10
+        assert chi.q == d and sum(chi.table) == 0
+        rng = random.Random(0)
+        for r in [0, 1, 2, 11, 9091, d - 1] + [rng.randrange(d) for _ in range(300)]:
+            assert chi.chi(r) == kronecker_symbol(d, r), r
 
     def test_kronecker_symbol_completely_multiplicative(self):
         for d in (-4, 5, -3):

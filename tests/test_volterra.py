@@ -177,6 +177,24 @@ class TestResidual:
         for x in GRID_THIRDS:
             assert residual(F, E, x).is_zero(), x
 
+    @pytest.mark.parametrize("A", [ConstLinear.a1(Fraction(1, 2)), A2(Fraction(-7, 3))],
+                             ids=["half_A1", "A2_multiple"])
+    @pytest.mark.parametrize("d", [None, -3], ids=["mu", "mu_chi_-3"])
+    def test_symbolic_free_constant_grid(self, A, d):
+        # the twisted split's arithmetic part is solution_family(h, A1/2)
+        a = mobius_sieve(30)
+        if d is not None:
+            a = twist(a, kronecker_character(d))
+        case = make_case(a, 30)
+        E = build_error_term(case)
+        h = build_fracpart_series(case)
+        F = solution_family(h, A)
+        assert F.eval_at(Fraction(7, 3)) - solution_family(h).eval_at(Fraction(7, 3)) \
+            == A * Fraction(7, 3)
+        for k in range(1, 91):
+            x = Fraction(k, 3)
+            assert residual(F, E, x).is_zero(), x
+
     def test_user_file_sequence_grid(self):
         a = complex_file_sequence()
         case = make_case(a, 12)
