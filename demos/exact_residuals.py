@@ -44,8 +44,8 @@ print("=" * 72)
 constants = [GaussianRational(0), GaussianRational(-2),
              GaussianRational(Fraction(3, 2), Fraction(1, 2))]
 for A in constants:
-    F = solution_family(h, A)
-    worst = max((residual(F, E, Fraction(k, 3)) for k in range(1, 3 * X + 1)),
+    R = residual(solution_family(h, A), E)
+    worst = max((R.eval_at(Fraction(k, 3)) for k in range(1, 3 * X + 1)),
                 key=lambda r: 0 if r.is_zero() else 1)
     status = "all exactly zero" if worst.is_zero() else f"NONZERO: {worst}"
     print(f"  A = {A.to_text():12s} residuals on the grid k/3: {status}")
@@ -55,4 +55,4 @@ print("A function outside the family leaves a visible residual:")
 from errlab import monomial  # noqa: E402
 
 bad = monomial(X, 2)
-print(f"  F(t) = t^2 at x = 1: residual = {residual(bad, E, 1)}")
+print(f"  F(t) = t^2 at x = 1: residual = {residual(bad, E).eval_at(1)}")

@@ -32,7 +32,8 @@ case = make_case(mu, 30)
 E = build_error_term(case)
 F = resolvent_function(E)
 h = build_fracpart_series(case)
-bad = sum(1 for k in range(1, 91) if not residual(F, E, Fraction(k, 3)).is_zero())
+R = residual(F, E)
+bad = sum(1 for k in range(1, 91) if not R.eval_at(Fraction(k, 3)).is_zero())
 print(f"  residuals of the resolvent output on the grid k/3: {bad} nonzero of 90")
 slopes = {((F.eval_at(x, Side.RIGHT) - h.eval_at(x, Side.RIGHT) * x) / x).to_text()
           for x in (Fraction(k, 3) for k in range(1, 91))}

@@ -260,12 +260,13 @@ def cmd_solve(args) -> int:
         raise FormatError("numeric solve needs a real --A and a real dump "
                           "without A2 or A1 terms")
     F = resolvent_function(E, A)
+    R = residual(F, E)
     zeros = []
 
     def row(k):
         x = Fraction(k, args.denom)
-        val = F.eval_at(x)   # POINT, as residual: the last piece at an open end
-        res = residual(F, E, x)
+        val = F.eval_at(x)   # POINT, as R: the last piece at an open end
+        res = R.eval_at(x)
         zeros.append(res.is_zero())
         flag = "true" if zeros[-1] else "false"
         if numeric:

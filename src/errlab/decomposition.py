@@ -33,8 +33,8 @@ the built fractional-part series h, whose constants it reads rather than
 accumulates again.  split_at reads E, E_AR and E_AN at a point under the one
 breakpoint convention of both splits, and the growth statistic reads E.
 
-verify_suites runs every exact identity suite of a case on a grid; the CLI's
-``verify`` and the acceptance gate both read its report.
+verify_suites runs every exact identity suite of a case on a grid from
+residual functions built once; ``verify`` and the acceptance gate read it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational, as_gaussian
-from .piecewise import PiecewiseLaurent, Side, monomial
+from .piecewise import PiecewiseLaurent, Side, _combination, monomial
 from .report import VerificationReport
 from .sequences import (ArithSequence, CharacterSpec, _divisor_pass, _partial_a2,
                         floor_sum, mobius_sieve, summatory,
@@ -187,26 +187,29 @@ def decompose(case: DecompositionCase, x):
     return e_ar, e_an, e - e_ar - e_an
 
 
-def trivial_character_relations(case: VolterraCase,
+def trivial_character_relations(case: VolterraCase, plain: DecompositionCase,
                                 grid_denominator: int = 3) -> VerificationReport:
     """Exact checks that the all-ones twist collapses to the plain objects.
 
-    ``case`` is a case of the Moebius function; its sequence and ``b_true``
-    are read on [1, case.X].  The parts of its twisted split (with the
-    Moebius declared A1 = 0) and of its plain split are compared at every
-    non-integer grid point of [1, X]: (E_AR,triv - E_AR)/x = f(x, triv) - f(x) and
+    ``case`` is a case of the Moebius function and ``plain`` its plain split
+    on [0, X'] for some X' >= case.X: a piece of a split does not depend on
+    the domain end, so only the twisted split (with the Moebius declared
+    A1 = 0) is built here.  At every non-integer grid point of [1, case.X],
+    (E_AR,triv - E_AR)/x = f(x, triv) - f(x) and
     2 (E_AN,triv - E_AN) = g(x, triv) - g(x) - 1 must vanish; alongside,
     sum_{d<=x} mu(d) floor(x/d) = 1 on the same grid.
     """
     X, a = case.X, case.a
-    (ar, an), (ar_triv, an_triv) = _parts(case, False), _parts(case, True)
+    ar_triv, an_triv = _parts(case, True)
+    f = _combination(X, (1, -1, ar_triv.pieces), (-1, -1, plain.arithmetic_part.pieces))
+    g = _combination(X, (2, 0, an_triv.pieces), (-2, 0, plain.analytic_part.pieces))
     report = VerificationReport()
     for k in range(grid_denominator, math.floor(X * grid_denominator) + 1):
         x = Fraction(k, grid_denominator)
         if x.denominator == 1:
             continue
-        report.add("trivial_f", x, (ar_triv.eval_at(x) - ar.eval_at(x)) / x)
-        report.add("trivial_g", x, (an_triv.eval_at(x) - an.eval_at(x)) * 2)
+        report.add("trivial_f", x, f.eval_at(x))
+        report.add("trivial_g", x, g.eval_at(x))
         report.add("mertens_floor", x, floor_sum(a, x) - as_gaussian(1))
     return report
 
@@ -226,8 +229,8 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
     ``jump[n]`` and ``remainder_continuity[n]`` per integer n <= X.  A split
     (the plain or twisted case of the same sequence, or None) adds
     ``decomposition`` wherever decompose claims it, and the plain one the
-    trivial-character relations on [1, min(X, 100)].  ``case.b`` may be an
-    override, which the suites expose.
+    trivial-character relations on [1, min(X, 100)]; its ``error`` is the E
+    of every suite.  ``case.b`` may be an override, which the suites expose.
     """
     X = case.X
     points = [Fraction(k, grid_denominator)
@@ -236,33 +239,26 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
     if not grid:
         raise DomainError(f"the grid k/{grid_denominator} on (0, {X}] is empty")
     report = VerificationReport()
-    E = build_error_term(case)
+    E = build_error_term(case) if split is None else split.error
     h = build_fracpart_series(case)
 
-    for A in A_list:
-        F = solution_family(h, A)
-        tag = f"volterra[A={A.to_text()}]"
+    def family(tag, f):
         for x in grid:
-            report.add(tag, x, residual(F, E, x))
+            report.add(tag, x, f.eval_at(x))
 
-    for x in grid:
-        report.add("remainder_integral", x, remainder_integral_residual(E, h, x))
-
+    for A in A_list:
+        family(f"volterra[A={A.to_text()}]", residual(solution_family(h, A), E))
+    family("remainder_integral", remainder_integral_residual(E, h))
     zero = monomial(X, 0, 0)
     for A in (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)):
-        tag = f"homogeneous[A={A.to_text()}]"
-        G = solution_family(zero, A)
-        for x in grid:
-            report.add(tag, x, residual(G, zero, x))
-
+        family(f"homogeneous[A={A.to_text()}]", residual(solution_family(zero, A), zero))
     resolvent = resolvent_function(E, 0)
+    family("resolvent", residual(resolvent, E))
+    # (F - t h)/t is one constant for every solution F
+    slope = _combination(X, (1, -1, resolvent.pieces), (-1, 0, h.pieces))
+    c_ref = slope.eval_at(grid[0])
     for x in grid:
-        report.add("resolvent", x, residual(resolvent, E, x))
-    c_ref = (resolvent.eval_at(grid[0], Side.RIGHT)
-             - h.eval_at(grid[0], Side.RIGHT) * grid[0]) / grid[0]
-    for x in grid:
-        c_x = (resolvent.eval_at(x, Side.RIGHT) - h.eval_at(x, Side.RIGHT) * x) / x
-        report.add("uniqueness_surrogate", x, c_x - c_ref)
+        report.add("uniqueness_surrogate", x, slope.eval_at(x) - c_ref)
 
     for x in grid:
         report.add("floor_summatory", x,
@@ -278,12 +274,14 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
 
     if split is not None:
         start = _split_start(split)
+        split_residual = _combination(X, (1, 0, E.pieces), (-1, 0, split.arithmetic_part.pieces),
+                                      (-1, 0, split.analytic_part.pieces))
         for x in points:
             if x >= start:
-                report.add("decomposition", x, decompose(split, x)[2])
+                report.add("decomposition", x, split_residual.eval_at(x, _side_for(split, x)))
         if split.kind == "untwisted":
             report.extend(trivial_character_relations(
-                replace(case, X=min(X, Fraction(100))), grid_denominator))
+                replace(case, X=min(X, Fraction(100))), split, grid_denominator))
     return report
 
 

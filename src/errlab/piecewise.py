@@ -266,6 +266,25 @@ class PiecewiseLaurent:
             raise FormatError(str(exc)) from exc
 
 
+def _combination(X, *terms) -> PiecewiseLaurent:
+    """The sum of c * t^m * g over the terms (c, m, g) on [0, X], piece by piece.
+
+    Each g is an iterable of exponent -> coefficient maps, such as a
+    function's pieces or the antiderivatives of its _prefix, and c an int or
+    a Fraction.  The pieces run to the end of the shortest g.
+    """
+    pieces = []
+    for group in zip(*(g for _, _, g in terms)):
+        out: Dict[int, ConstLinear] = {}
+        for (c, m, _), piece in zip(terms, group):
+            for e, v in piece.items():
+                v = v if c == 1 else -v if c == -1 else v * c
+                e += m
+                out[e] = out[e] + v if e in out else v
+        pieces.append(out)
+    return PiecewiseLaurent(X, pieces)
+
+
 def monomial(X, exponent: int, coeff=1) -> PiecewiseLaurent:
     """c * t^exponent on all of (0, X]."""
     X = Fraction(X)

@@ -13,8 +13,8 @@ resolvent form F(x) = E(x) + x * integral_0^x E(t)/t^2 dt + A x inverts the
 equation for any admissible right-hand side.  The homogeneous equation
 (Er = 0) is the same family over the zero function: its solutions are A x.
 
-Everything here is exact; residuals are ConstLinear values whose zero test is
-a decidable coefficient comparison.
+Everything here is exact; a residual is a piecewise function whose
+coefficients are ConstLinear forms, zero exactly when every piece is empty.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational, as_gaussian
-from .piecewise import PiecewiseLaurent, Side
+from .piecewise import PiecewiseLaurent, _combination
 from .sequences import ArithSequence, convolve_id
 
 __all__ = [
@@ -116,41 +117,39 @@ def solution_family(h: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
     """
     if not isinstance(A, ConstLinear):
         A = ConstLinear(A)
-    pieces = []
-    for piece in h.pieces:
-        # t * (h + A) lifts each exponent e onto e + 1 and A onto 1
-        out = {e + 1: c for e, c in piece.items()}
-        out[1] = out[1] + A if 1 in out else A
-        pieces.append(out)
-    return PiecewiseLaurent(h.X, pieces)
+    return _combination(h.X, (1, 1, h.pieces), (1, 1, repeat({0: A})))
 
 
-def residual(F: PiecewiseLaurent, E: PiecewiseLaurent, x) -> ConstLinear:
-    """F(x) - integral_0^x F(t)/t dt - E(x), exact.
+def _prims(f: PiecewiseLaurent, shift: int):
+    """The antiderivatives of f(t) t^shift from f._prefix, one per piece;
+    raises the error of a piece that has none."""
+    _, blocker, prims = f._prefix(shift)
+    if blocker is not None:
+        raise blocker[1]
+    return prims
 
-    Zero exactly when the integral equation holds at x.  Values are taken by
-    Side.POINT: right limits at interior breakpoints, matching the
-    right-continuous error term, and the last piece at an uncovered domain
-    end.
+
+def residual(F: PiecewiseLaurent, E: PiecewiseLaurent) -> PiecewiseLaurent:
+    """F(t) - integral_0^t F(s)/s ds - E(t) as a piecewise function, exact.
+
+    Built piece by piece on [0, min(F.X, E.X)], so a piece is empty exactly
+    when the integral equation holds on all of it.  Its POINT values are
+    right limits at interior breakpoints, matching the right-continuous
+    error term.  Raises where F(t)/t has no antiderivative (LogCaseError,
+    DivergentAtZeroError).
     """
-    x = Fraction(x)
-    return F.eval_at(x) - F.integrate(x, "1/t") - E.eval_at(x)
+    return _combination(min(F.X, E.X), (1, 0, F.pieces), (-1, 0, _prims(F, -1)),
+                        (-1, 0, E.pieces))
 
 
-def remainder_integral_residual(E: PiecewiseLaurent, h: PiecewiseLaurent, x) -> ConstLinear:
-    """Residual of the identity Er(x) - x h(x) = -integral_0^x h(t) dt.
+def remainder_integral_residual(E: PiecewiseLaurent, h: PiecewiseLaurent) -> PiecewiseLaurent:
+    """Residual of the identity Er(t) - t h(t) = -integral_0^t h(s) ds.
 
     E and h are build_error_term and build_fracpart_series of one case.
-    Returns (Er(x) - x h(x)) + integral_0^x h, which is exactly zero for
-    every positive x; x = 0 returns zero by the convention Er(0) = 0.
+    Returns the piecewise function Er(t) - t h(t) + integral_0^t h, which is
+    empty on every piece; its value at 0 is zero by the convention Er(0) = 0.
     """
-    x = Fraction(x)
-    if x < 0:
-        raise DomainError("requires x >= 0")
-    if x == 0:
-        return ConstLinear.zero()
-    r = E.eval_at(x, Side.RIGHT) - h.eval_at(x, Side.RIGHT) * x
-    return r + h.integrate(x, "1")
+    return _combination(min(E.X, h.X), (1, 0, E.pieces), (-1, 1, h.pieces), (1, 0, _prims(h, 0)))
 
 
 def resolvent_function(E: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
@@ -160,16 +159,4 @@ def resolvent_function(E: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
     the admissibility condition for the inversion formula.
     """
     A = ConstLinear(A)
-    _, blocker, prims = E._prefix(-2)
-    if blocker is not None:
-        raise blocker[1]
-    pieces = []
-    for piece, prim in zip(E.pieces, prims):
-        # t * prim lifts each exponent e - 1 back onto e, the constant onto 1
-        out = {e + 1: c for e, c in prim.items()}
-        out[1] = out[1] + A
-        for e, c in piece.items():
-            out[e] = out[e] + c if e in out else c
-        pieces.append(out)
-    return PiecewiseLaurent(E.X, pieces)
-
+    return _combination(E.X, (1, 0, E.pieces), (1, 1, _prims(E, -2)), (1, 1, repeat({0: A})))

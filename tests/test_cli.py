@@ -113,6 +113,38 @@ def test_golden_output_bytes(name, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of the CSV `verify --seq mu --X 20` writes from a b-file with b(n)
+# off by one, per n; the first failing row is then volterra[A=0/1] at x = n
+FAILING_VERIFY_DIGESTS = {
+    9: "def4ad1c3e575aad5a5cb421d017d78926aab57c18a7da0acb1cbb811ba93c4d",
+    10: "c2a785a15db98ea947aaf49d58a4c1548e46fa810ba733b6e8df1f5dd192e449",
+    11: "217d593972369afb8ea9be1913bb804dce2020da6d3e44b7350fa56b04ebb70d",
+    12: "7b74fe8df58e598142042d888012a98b8072392a46fa53530dc86df23def5162",
+    13: "8384be2ef7ff25ead15e186a3ab15b9d4414ac8de37da7b56a25c472182031f4",
+    14: "84944ddc22b799eabf4fd340af95aba087ae316d823909ac7050cd34b25f50a7",
+    15: "87acc6ab5e54b9f81f9b2fdd498174cc408b3c3dd9273e9153407b4913e52c14",
+    16: "fe7625cfc9413edd966da5e9275cd2ee6a1f43d0a91c0a4e763c177d71925d2a",
+    17: "4c83a3635c831e9f92609808a58d76772b7f2d398467a8909de8d92221fde973",
+    18: "83e1570d884b02b21dc6d05b619ac22b267598a68d6540f044cc017f9f921863",
+    19: "af9b5387c603481602a1e54afa2cbf7422fe01696e16d403410439ba54b7bf7a",
+    20: "d0ce4ec78e213521df51a1d2316eb2a7c4fc41af1dbddd7658712508ce2f3fd9",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FAILING_VERIFY_DIGESTS))
+def test_failing_verify_bytes(n, tmp_path, capsys):
+    phi = totient_sieve(20)
+    bfile = tmp_path / "b.csv"
+    bfile.write_text("n,value\n" + "".join(
+        f"{k},{phi.value(k) + (1 if k == n else 0)}/1\n" for k in range(1, 21)))
+    out = tmp_path / "out.csv"
+    code, _, err = run(["verify", "--seq", "mu", "--X", "20", "--b-file", str(bfile),
+                        "-o", str(out)], capsys)
+    assert code == 1
+    assert err == f"FAIL: volterra[A=0/1] at x={n} (residual -1/1 + 0/1*A2 + 0/1*A1)\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FAILING_VERIFY_DIGESTS[n]
+
+
 @pytest.mark.parametrize("name", ["verify_b_file", "table_mu_chi", "table_mu_chi_numeric",
                                   "solve_exact_complex_A", "sieve_file_gaussian"])
 def test_stdout_matches_output_file(name, tmp_path, capsys):

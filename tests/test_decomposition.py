@@ -9,10 +9,10 @@ from conftest import frac_part, sawtooth_oracle
 from errlab.decomposition import (FROZEN_GROWTH_MAX, build_fracsquare_series,
                                   decompose, growth_max_ratio, split_at,
                                   trivial_character_relations, twisted_case,
-                                  untwisted_case)
+                                  untwisted_case, verify_suites)
 from errlab.errors import DomainError
 from errlab.exactnum import ConstLinear, GaussianRational, as_gaussian
-from errlab.piecewise import Side
+from errlab.piecewise import PiecewiseLaurent, Side
 from errlab.sequences import (ArithSequence, convolve_id, kronecker_character,
                               mobius_sieve, twist)
 from errlab.volterra import build_fracpart_series, make_case
@@ -253,8 +253,13 @@ class TestDecompose:
 
 class TestTrivialCharacter:
     def test_relations_hold(self):
-        rep = trivial_character_relations(case_of(mobius_sieve(40)))
+        case = case_of(mobius_sieve(40))
+        rep = trivial_character_relations(case, untwisted_case(case))
         assert len(rep) > 0 and rep.all_pass
+        # a plain split on a longer domain serves a shorter case unchanged
+        short = case_of(mobius_sieve(40), Fraction(29, 2))
+        rows = trivial_character_relations(short, untwisted_case(case)).rows
+        assert rows and rows == trivial_character_relations(short, untwisted_case(short)).rows
 
     def test_g_relation_is_exactly_one(self):
         case = case_of(mobius_sieve(12))
@@ -269,6 +274,33 @@ class TestTrivialCharacter:
         g_triv = g_of(case, twisted=True)
         x = Fraction(1, 2)
         assert g_triv.eval_at(x) - g_plain.eval_at(x) != ConstLinear.scalar(1)
+
+
+class TestVerifySuites:
+    def test_no_pointwise_integration(self, monkeypatch):
+        # every family reads a residual function built once per family
+        calls = []
+        integrate = PiecewiseLaurent.integrate
+        monkeypatch.setattr(PiecewiseLaurent, "integrate",
+                            lambda f, *args: calls.append(args) or integrate(f, *args))
+        case = case_of(mobius_sieve(30))
+        report = verify_suites(case, 3, [GaussianRational(0)], untwisted_case(case))
+        assert report.all_pass and calls == []
+
+    @pytest.mark.parametrize("d", [None, -3], ids=["plain", "twisted_-3"])
+    def test_decomposition_rows_match_decompose(self, d):
+        # a tampered b(17) makes the rows from 17 on nonzero
+        a = mobius_sieve(30) if d is None else twist(mobius_sieve(30), kronecker_character(d))
+        b = convolve_id(a)
+        bad = ArithSequence("bad", [b.value(n) + (1 if n == 17 else 0) for n in range(1, 31)])
+        case = make_case(a, 30, b=bad)
+        split = untwisted_case(case) if d is None else twisted_case(case)
+        rows = [r for r in verify_suites(case, 3, [], split).rows if r.identity == "decomposition"]
+        start = 1 if d is None else 0
+        assert [r.x for r in rows] == [Fraction(k, 3) for k in range(3 * start, 91)]
+        for r in rows:
+            assert r.residual == decompose(split, r.x)[2], r.x
+        assert {r.x for r in rows if not r.exact_zero} == {r.x for r in rows if r.x >= 17}
 
 
 class TestGrowth:

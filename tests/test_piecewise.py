@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import RefConstLinear
 from errlab.errors import DivergentAtZeroError, DomainError, FormatError, LogCaseError
 from errlab.exactnum import ConstLinear, GaussianRational
-from errlab.piecewise import EXP_MAX, EXP_MIN, PiecewiseLaurent, Side, monomial
+from errlab.piecewise import (EXP_MAX, EXP_MIN, PiecewiseLaurent, Side, _combination,
+                              monomial)
 from errlab.sequences import mobius_sieve
 from errlab.volterra import build_fracpart_series, make_case
 
@@ -197,6 +198,43 @@ class TestIntegrate:
             if e >= 2:
                 second = second + c * (e * (e - 1)) * x ** (e - 2)
         assert avg_slope == f.eval_at(x) + second * (eps * eps / 6)
+
+
+# -- linear combinations -----------------------------------------------------
+
+@st.composite
+def combination_terms(draw):
+    """(X, terms): one to three functions on [0, X] with a shared piece count
+    (X or X + 1), each with an int or Fraction factor and a shift in {-1, 0, 1}."""
+    n = draw(st.integers(1, 4))
+    npieces = draw(st.sampled_from([n, n + 1]))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = PiecewiseLaurent(n, [draw(piece([-1, 0, 1, 2])) for _ in range(npieces)])
+        c = draw(st.one_of(st.sampled_from([1, -1, 2, -3]), small_fracs))
+        terms.append((c, draw(st.integers(-1, 1)), g))
+    return n, terms
+
+
+class TestCombination:
+    @given(combination_terms(),
+           st.lists(st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+                    max_size=4))
+    @settings(max_examples=60)
+    def test_equals_pointwise_combination(self, case, points):
+        X, terms = case
+        f = _combination(X, *((c, m, g.pieces) for c, m, g in terms))
+        for x in [x for x in points if x <= X] + list(range(1, X + 1)):
+            x = Fraction(x)
+            for side in Side:
+                try:
+                    expect = sum((g.eval_at(x, side) * c * x ** m for c, m, g in terms),
+                                 ConstLinear.zero())
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        f.eval_at(x, side)
+                    continue
+                assert f.eval_at(x, side) == expect, (x, side)
 
 
 # -- the integer evaluation kernel against a Fraction oracle ------------------

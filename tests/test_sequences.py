@@ -1,7 +1,9 @@
 """Sieves, characters, convolution, summatory sums and numeric constants."""
 
+import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -141,6 +143,42 @@ class TestCharacters:
                 for n in range(1, 40):
                     assert kronecker_symbol(d, m * n) == \
                         kronecker_symbol(d, m) * kronecker_symbol(d, n)
+
+    def test_validate_large_modulus_is_fast(self):
+        chi = kronecker_character(100001)
+        start = time.perf_counter()
+        chi.validate()
+        assert time.perf_counter() - start < 5
+        t = list(chi.table)
+        flipped = t.copy()
+        flipped[2] = -t[2]
+        u, v = t.index(1, 2), t.index(-1)   # two units with opposite values
+        swapped = t.copy()
+        swapped[u], swapped[v] = t[v], t[u]
+        for bad in (flipped, swapped):
+            with pytest.raises(ValueError, match="multiplicativity fails at") as exc:
+                CharacterSpec(chi.q, tuple(bad)).validate()
+            a, b = map(int, re.findall(r"\d+", str(exc.value)))
+            assert bad[a * b % chi.q] != bad[a] * bad[b]
+
+    @pytest.mark.parametrize("q", range(3, 14))
+    def test_validate_against_quadratic_definition(self, q):
+        # every +-1 table on the units mod q, against the check of all pairs
+        units = [n for n in range(q) if math.gcd(n, q) == 1]
+        for signs in itertools.product((-1, 1), repeat=len(units)):
+            t = [0] * q
+            for n, sign in zip(units, signs):
+                t[n] = sign
+            multiplicative = all(t[a * b % q] == t[a] * t[b] for a in range(q) for b in range(q))
+            try:
+                CharacterSpec(q, tuple(t)).validate()
+                verdict = "valid"
+            except ValueError as exc:
+                verdict = str(exc)
+            assert verdict.startswith("multiplicativity") != multiplicative, (t, verdict)
+            if not multiplicative:
+                a, b = map(int, re.findall(r"\d+", verdict))
+                assert t[a * b % q] != t[a] * t[b], (t, verdict)
 
     def test_custom_table_validation(self):
         CharacterSpec(4, (0, 1, 0, -1)).validate()

@@ -158,15 +158,15 @@ class TestResidual:
         case = mu_case()
         E = build_error_term(case)
         h = build_fracpart_series(case)
-        assert residual(solution_family(h), E, 1).is_zero()
+        assert residual(solution_family(h), E).eval_at(1).is_zero()
         big = solution_family(h, GaussianRational(Fraction(3, 2), Fraction(1, 2)))
-        assert residual(big, E, Fraction(17, 3)).is_zero()
+        assert residual(big, E).eval_at(Fraction(17, 3)).is_zero()
 
     def test_nonzero_for_non_solutions(self):
         case = mu_case()
         E = build_error_term(case)
         F = monomial(case.X, 2)
-        assert not residual(F, E, 1).is_zero()
+        assert not residual(F, E).eval_at(1).is_zero()
 
     @pytest.mark.parametrize("A", [0, 1, -2,
                                    GaussianRational(Fraction(3, 2), Fraction(1, 2))])
@@ -175,7 +175,7 @@ class TestResidual:
         E = build_error_term(case)
         F = solution_family(build_fracpart_series(case), A)
         for x in GRID_THIRDS:
-            assert residual(F, E, x).is_zero(), x
+            assert residual(F, E).eval_at(x).is_zero(), x
 
     @pytest.mark.parametrize("A", [ConstLinear.a1(Fraction(1, 2)), A2(Fraction(-7, 3))],
                              ids=["half_A1", "A2_multiple"])
@@ -193,7 +193,7 @@ class TestResidual:
             == A * Fraction(7, 3)
         for k in range(1, 91):
             x = Fraction(k, 3)
-            assert residual(F, E, x).is_zero(), x
+            assert residual(F, E).eval_at(x).is_zero(), x
 
     def test_user_file_sequence_grid(self):
         a = complex_file_sequence()
@@ -201,7 +201,7 @@ class TestResidual:
         E = build_error_term(case)
         F = solution_family(build_fracpart_series(case), GaussianRational(0, 1))
         for x in GRID_THIRDS:
-            assert residual(F, E, x).is_zero(), x
+            assert residual(F, E).eval_at(x).is_zero(), x
 
     def test_tampered_b_detected(self):
         mu = mobius_sieve(30)
@@ -211,8 +211,8 @@ class TestResidual:
         case = make_case(mu, 30, b=bad)
         E = build_error_term(case)
         F = solution_family(build_fracpart_series(case))
-        assert residual(F, E, 10).is_zero()
-        assert not residual(F, E, 20).is_zero()
+        assert residual(F, E).eval_at(10).is_zero()
+        assert not residual(F, E).eval_at(20).is_zero()
 
 
 class TestRemainderIntegral:
@@ -224,16 +224,16 @@ class TestRemainderIntegral:
         r = E.eval_at(Fraction(3, 2)) - h.eval_at(Fraction(3, 2)) * Fraction(3, 2)
         assert r == ConstLinear(Fraction(-1, 2), Fraction(9, 8), 0)
         assert h.integrate(Fraction(3, 2), "1") == ConstLinear(Fraction(1, 2), Fraction(-9, 8), 0)
-        assert remainder_integral_residual(E, h, Fraction(3, 2)).is_zero()
-        assert remainder_integral_residual(E, h, 1).is_zero()
-        assert remainder_integral_residual(E, h, 0).is_zero()
+        assert remainder_integral_residual(E, h).eval_at(Fraction(3, 2)).is_zero()
+        assert remainder_integral_residual(E, h).eval_at(1).is_zero()
+        assert remainder_integral_residual(E, h).eval_at(0).is_zero()
 
     def test_grid(self):
         case = mu_case()
         E = build_error_term(case)
         h = build_fracpart_series(case)
         for x in GRID_THIRDS:
-            assert remainder_integral_residual(E, h, x).is_zero(), x
+            assert remainder_integral_residual(E, h).eval_at(x).is_zero(), x
 
     def test_remainder_continuous_at_integers(self):
         case = mu_case(20)
@@ -257,7 +257,7 @@ class TestHomogeneous:
                                      (0, Fraction(22, 7)), (0, 0)])
     def test_zero(self, A, x):
         G, zero = homogeneous(A, x or 1)
-        assert residual(G, zero, x).is_zero()
+        assert residual(G, zero).eval_at(x).is_zero()
 
 
 class TestHomogeneousFunction:
@@ -270,20 +270,21 @@ class TestHomogeneousFunction:
             expect = ConstLinear(as_gaussian(A) * x)
             assert G.eval_at(x, Side.RIGHT) == expect, x
             assert G.integrate(x, "1/t") == expect, x
-            got = residual(G, zero, x)
-            fresh = residual(*homogeneous(A, x), x)
+            got = residual(G, zero).eval_at(x)
+            fresh = residual(*homogeneous(A, x)).eval_at(x)
             assert got.is_zero() and got == fresh, x
 
     def test_prebuilt_g_is_used(self):
         # t^2 is not homogeneous: x^2 - x^2/2 remains
         x = Fraction(7, 3)
-        assert residual(monomial(12, 2), monomial(12, 0, 0), x) == ConstLinear.scalar(x * x / 2)
+        assert residual(monomial(12, 2), monomial(12, 0, 0)).eval_at(x) == \
+            ConstLinear.scalar(x * x / 2)
 
     def test_point_beyond_prebuilt_domain(self):
         G, zero = homogeneous(1, 12)
-        assert residual(G, zero, 12).is_zero()
+        assert residual(G, zero).eval_at(12).is_zero()
         with pytest.raises(DomainError):
-            residual(G, zero, Fraction(37, 3))
+            residual(G, zero).eval_at(Fraction(37, 3))
 
 
 class TestResolvent:
@@ -293,7 +294,7 @@ class TestResolvent:
         assert F.eval_at(2, Side.RIGHT) == ConstLinear.scalar(8)
         for x in (Fraction(1, 2), 1, Fraction(7, 4)):
             assert F.eval_at(x, Side.RIGHT) == ConstLinear.scalar(2 * Fraction(x) ** 2)
-            assert residual(F, E, x).is_zero()
+            assert residual(F, E).eval_at(x).is_zero()
 
     def test_linear_is_log_case(self):
         E = monomial(2, 1)
@@ -307,7 +308,7 @@ class TestResolvent:
         E = build_error_term(case)
         F = resolvent_function(E)
         for x in GRID_THIRDS:
-            assert residual(F, E, x).is_zero(), x
+            assert residual(F, E).eval_at(x).is_zero(), x
 
     def test_uniqueness_surrogate(self):
         case = mu_case()
@@ -331,7 +332,7 @@ class TestResolvent:
             integral = weighted_integral_oracle(E, x)
             expect = E.eval_at(x, Side.RIGHT) + (integral + ConstLinear.scalar(A)) * x
             assert F.eval_at(x, Side.RIGHT) == expect, x
-            assert residual(F, E, x).is_zero(), x
+            assert residual(F, E).eval_at(x).is_zero(), x
 
     def test_free_constant_shifts_linearly(self):
         case = mu_case()
