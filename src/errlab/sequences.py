@@ -91,8 +91,8 @@ class ArithSequence:
         """A sequence backed by a sieve's array arr, a(0..N) with index 0
         padding: mobius_sieve's int8 values in {-1, 0, 1}, totient_sieve's
         int64 values in [0, N], or a twist of either, which keeps its dtype
-        and stays within [-N, N].  N <= MAX_SIEVE = 2**24, so every prefix
-        sum fits an int64 and every value is within _a2_bins' limits."""
+        and stays within [-N, N].  N <= MAX_SIEVE = 2**24, so every value is
+        within _a2_bins' limits."""
         seq = cls(name, [], magnitude_bound, known_A1)
         seq._arr, seq._list, seq.N = arr, None, len(arr) - 1
         return seq
@@ -113,12 +113,9 @@ class ArithSequence:
         if not 0 <= k <= self.N:
             raise DomainError(f"index {k} outside 0..{self.N}")
         if self._prefix is None:
-            if self._arr is not None:
-                self._prefix = np.concatenate(([0], np.cumsum(self._arr[1:], dtype=np.int64)))
-            else:
-                self._prefix = [0] + list(accumulate(self._list[1:]))
-        v = self._prefix[k]
-        return int(v) if self._arr is not None else v
+            vals = self._list[1:] if self._arr is None else self._arr[1:].tolist()
+            self._prefix = [0] + list(accumulate(vals))
+        return self._prefix[k]
 
     def __repr__(self):
         return f"ArithSequence({self.name!r}, N={self.N})"
@@ -327,28 +324,33 @@ def kronecker_character(d: int) -> CharacterSpec:
     return CharacterSpec(q, tuple(kronecker_symbol(d, r) for r in range(q)))
 
 
-def _chi_factors(chi: CharacterSpec, size: int) -> np.ndarray:
-    """chi(0), .., chi(size - 1) as int8: the period table repeated.  Sliced
-    from r = lo mod q, it holds chi(lo), chi(lo + 1), .. for size - r terms."""
-    return np.tile(np.asarray(chi.table, dtype=np.int8), -(-size // chi.q))[:size]
+def _twisted_blocks(blocks, chi: CharacterSpec):
+    """Each (lo, block) of blocks, block[i] multiplied in place by chi(lo + i)
+    in the block's own dtype.  The period table, tiled to cover the longest
+    block so far plus q entries, is cut at r = lo mod q."""
+    table = np.empty(0, dtype=np.int8)
+    for lo, block in blocks:
+        r = lo % chi.q
+        if r + block.size > table.size:
+            table = np.tile(np.asarray(chi.table, dtype=np.int8), block.size // chi.q + 2)
+        block *= table[r:r + block.size]
+        yield lo, block
 
 
 def twist(a: ArithSequence, chi: CharacterSpec) -> ArithSequence:
     """Pointwise product a(n) * chi(n mod q); the magnitude bound survives.
 
-    A sieve's array is multiplied in its own dtype, which holds every
-    -a(n), _SIEVE_BLOCK entries at a time; other values are multiplied as
+    A sieve's array is copied and twisted _SIEVE_BLOCK entries at a time in
+    its own dtype, which holds every -a(n); other values are multiplied as
     they are.
     """
     name = f"{a.name}*chi({chi.q})"
     arr = a.int_array()
     if arr is not None:
-        out = np.empty_like(arr)
-        table = _chi_factors(chi, min(_SIEVE_BLOCK, out.size) + chi.q)
-        for lo in range(0, out.size, _SIEVE_BLOCK):
-            part = out[lo:lo + _SIEVE_BLOCK]
-            r = lo % chi.q
-            np.multiply(arr[lo:lo + part.size], table[r:r + part.size], out=part)
+        out = arr.copy()
+        for _ in _twisted_blocks(((lo, out[lo:lo + _SIEVE_BLOCK])
+                                  for lo in range(0, out.size, _SIEVE_BLOCK)), chi):
+            pass
         return ArithSequence._sieved(name, out, magnitude_bound=a.magnitude_bound)
     vals = [a.value(n) * chi.chi(n) for n in range(1, a.N + 1)]
     return ArithSequence(name, vals, magnitude_bound=a.magnitude_bound)
@@ -384,9 +386,8 @@ def summatory(b: ArithSequence, x) -> GaussianRational:
     return as_gaussian(b.prefix_sum(math.floor(x)))
 
 
-def _floor_blocks(a: ArithSequence, x):
-    """(m, sum of a(d) over the block) for each block of d <= x on which
-    floor(x/d) = m.
+def _floor_weighted(a: ArithSequence, x, weight) -> GaussianRational:
+    """sum_{d<=x} a(d) * weight(floor(x/d)), exact.
 
     With k = floor(x), floor(x/d) = floor(k/d) takes one value m on each block
     of d in [lo, k // (k // lo)], so there are O(sqrt(x)) blocks, each summed
@@ -396,15 +397,15 @@ def _floor_blocks(a: ArithSequence, x):
     if x < 0 or x > a.N:
         raise DomainError(f"evaluation point {x} outside 0..{a.N}")
     k = math.floor(x)
-    below = 0
+    total = below = 0
     lo = 1
     while lo <= k:
         m = k // lo
         hi = k // m
         upto = a.prefix_sum(hi)
-        yield m, upto - below
-        below = upto
-        lo = hi + 1
+        total = total + (upto - below) * weight(m)
+        below, lo = upto, hi + 1
+    return as_gaussian(total)
 
 
 def summatory_via_floor_identity(a: ArithSequence, x) -> GaussianRational:
@@ -412,18 +413,12 @@ def summatory_via_floor_identity(a: ArithSequence, x) -> GaussianRational:
 
     Equals summatory(convolve_id(a), x) by exchanging the order of summation.
     """
-    total = 0
-    for m, block in _floor_blocks(a, x):
-        total = total + block * (m * (m + 1) // 2)
-    return as_gaussian(total)
+    return _floor_weighted(a, x, lambda m: m * (m + 1) // 2)
 
 
 def floor_sum(a: ArithSequence, x) -> GaussianRational:
     """sum_{d<=x} a(d) * floor(x/d), exact."""
-    total = 0
-    for m, block in _floor_blocks(a, x):
-        total = total + block * m
-    return as_gaussian(total)
+    return _floor_weighted(a, x, lambda m: m)
 
 
 _A2_CHUNK = 1 << 13
@@ -546,20 +541,11 @@ def mobius_constants(n: int, chi: Optional[CharacterSpec] = None,
     chi, without either array: the sieve, the twist and the a2 sum run one
     block of _SIEVE_BLOCK entries at a time."""
     _check_capacity(n)
-
-    def blocks():
-        if chi is not None:
-            table = _chi_factors(chi, min(_SIEVE_BLOCK, n) + chi.q)
-        for lo, block in _mobius_blocks(n):
-            if chi is not None:
-                r = lo % chi.q
-                block *= table[r:r + block.size]
-            yield lo, block
-
+    blocks = _mobius_blocks(n) if chi is None else _twisted_blocks(_mobius_blocks(n), chi)
     known_A1 = GaussianRational(0) if chi is None else None
     # n <= MAX_SIEVE < 2**26 and |mu(m) chi(m)| <= 1, within _a2_bins' limits
     return _certified(n, Fraction(1), known_A1, chi, precision_target,
-                      lambda: complex(_a2_bins(blocks())))
+                      lambda: complex(_a2_bins(blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +560,37 @@ def _parse_value(text: str) -> Value:
     return int(f) if f.denominator == 1 else f
 
 
+def _read_table(path: Path, layouts, first: int, parse, order: str):
+    """(header, rows) of the CSV table at path: the stripped header, one of
+    layouts, and each row's fields after the index, read by parse.
+
+    Every row must have the header's field count, and the indices, read by
+    int(), must run first, first + 1, .. in order (else ``order``).  A
+    malformed row raises a FormatError that names the file and the row.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        if header not in layouts:
+            raise FormatError(f"{path}: header must be "
+                              + " or ".join(f"'{','.join(h)}'" for h in layouts))
+        rows = []
+        for i, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise FormatError(f"{path}: row {i} has {len(row)} fields")
+            try:
+                index, fields = int(row[0]), [parse(v) for v in row[1:]]
+            except ValueError as exc:
+                raise FormatError(f"{path}: row {i}: {exc}") from exc
+            if index != first + i - 1:
+                raise FormatError(f"{path}: {order} (row {i})")
+            rows.append(fields)
+    return header, rows
+
+
 def read_sequence_csv(path):
     """Load a sequence from CSV.
 
@@ -582,31 +599,12 @@ def read_sequence_csv(path):
     Indices must be contiguous from 1.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if header == ["n", "value"]:
-            pair = False
-        elif header == ["n", "a", "b"]:
-            pair = True
-        else:
-            raise FormatError(f"{path}: header must be 'n,value' or 'n,a,b'")
-        avals, bvals = [], []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise FormatError(f"{path}: row {i} has {len(row)} fields")
-            if int(row[0]) != i:
-                raise FormatError(f"{path}: indices must be contiguous from 1 (row {i})")
-            avals.append(_parse_value(row[1]))
-            if pair:
-                bvals.append(_parse_value(row[2]))
-    if not avals:
+    header, rows = _read_table(path, (["n", "value"], ["n", "a", "b"]), 1, _parse_value,
+                               "indices must be contiguous from 1")
+    if not rows:
         raise FormatError(f"{path}: no data rows")
-    a = ArithSequence(path.stem, avals)
-    b = ArithSequence(path.stem + ".b", bvals) if pair else None
+    a = ArithSequence(path.stem, [r[0] for r in rows])
+    b = ArithSequence(path.stem + ".b", [r[1] for r in rows]) if len(header) == 3 else None
     return a, b
 
 
@@ -619,19 +617,9 @@ def write_sequence_csv(target, a: ArithSequence) -> None:
 def read_character_csv(path) -> CharacterSpec:
     """Load a character table from CSV ``residue,value`` and validate it."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["residue", "value"]:
-            raise FormatError(f"{path}: header must be 'residue,value'")
-        table = []
-        for i, row in enumerate(reader):
-            if len(row) != 2:
-                raise FormatError(f"{path}: row {i + 1} has {len(row)} fields")
-            if int(row[0]) != i:
-                raise FormatError(f"{path}: residues must run 0..q-1 in order")
-            table.append(int(row[1]))
-    chi = CharacterSpec(len(table), tuple(table))
+    _, rows = _read_table(path, (["residue", "value"],), 0, int,
+                          "residues must run 0..q-1 in order")
+    chi = CharacterSpec(len(rows), tuple(r[0] for r in rows))
     try:
         chi.validate()
     except ValueError as exc:

@@ -358,9 +358,11 @@ class TestVerify:
         assert run(["verify", "--seq", "mu_chi", "--D", "9"], capsys)[0] == 2
         assert run(["verify", "--seq", "file:/does/not/exist.csv"], capsys)[0] == 2
 
-    def test_short_character_row_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row", ["1", "z,1", "1,1/2"],
+                             ids=["short", "residue", "value"])
+    def test_short_character_row_exits_2(self, tmp_path, capsys, row):
         chi = tmp_path / "chi.csv"
-        chi.write_text("residue,value\n0,0\n1\n2,-1\n")
+        chi.write_text(f"residue,value\n0,0\n{row}\n2,-1\n")
         code, _, err = run(["verify", "--seq", "mu_chi", "--chi-file", str(chi),
                             "--X", "5"], capsys)
         assert code == 2

@@ -208,6 +208,9 @@ class TestTwistAndConvolution:
         for a in (mobius_sieve(100), totient_sieve(100), mobius_sieve(95)):
             t = twist(a, chi)
             assert t.N == a.N and t.int_array() is not None
+            # the twist multiplies in the sieve's own dtype
+            assert t.int_array().dtype == a.int_array().dtype == \
+                (np.int8 if a.name == "mu" else np.int64)
             assert [t.value(n) for n in range(1, a.N + 1)] == \
                 [chi.chi(n) * a.value(n) for n in range(1, a.N + 1)]
 
@@ -362,7 +365,7 @@ class TestIntArrayPaths:
     def test_only_sieves_keep_arrays(self):
         # a user array is copied to Python ints, whatever its dtype; only the
         # sieves and their twists keep an array, with values within [-N, N]
-        # for N <= MAX_SIEVE, so their int64 prefix sums cannot overflow
+        # for N <= MAX_SIEVE, and their prefix sums are Python ints too
         assert MAX_SIEVE ** 2 < 2 ** 63
         chi = kronecker_character(-4)
         for dtype in (np.int8, np.uint8, np.int16, np.int64):
@@ -379,6 +382,7 @@ class TestIntArrayPaths:
         mu, phi = mobius_sieve(10), totient_sieve(10)
         for s in (mu, phi, twist(mu, chi), twist(phi, chi)):
             assert s.int_array() is not None
+            assert all(type(s.prefix_sum(k)) is int for k in range(s.N + 1))
 
 
 class TestSummatory:
@@ -672,6 +676,10 @@ class TestCsv:
         p2.write_text("n,value\n1,1/1\n3,1/1\n")
         with pytest.raises(FormatError):
             read_sequence_csv(p2)
+        p3 = tmp_path / "z.csv"
+        p3.write_text("n,value\n1,1/1\nz,1/1\n")
+        with pytest.raises(FormatError, match=re.escape(f"{p3}: row 2")):
+            read_sequence_csv(p3)
 
     def test_character_roundtrip(self, tmp_path):
         chi = kronecker_character(5)
@@ -684,3 +692,7 @@ class TestCsv:
         path.write_text("residue,value\n0,0\n1,1\n2,1\n3,1\n")
         with pytest.raises(FormatError):
             read_character_csv(path)
+        half = tmp_path / "half.csv"
+        half.write_text("residue,value\n0,0\n1,1/2\n2,-1\n")
+        with pytest.raises(FormatError, match=re.escape(f"{half}: row 2")):
+            read_character_csv(half)
