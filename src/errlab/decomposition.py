@@ -46,7 +46,7 @@ from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .exactnum import ConstLinear, GaussianRational, as_gaussian
+from .exactnum import ConstLinear, GaussianRational
 from .piecewise import PiecewiseLaurent, Side, _combination, monomial
 from .report import VerificationReport
 from .sequences import (ArithSequence, CharacterSpec, _divisor_pass, _partial_a2,
@@ -128,9 +128,8 @@ def _parts(case: VolterraCase, twisted: bool):
     h = build_fracpart_series(case)
     half = Fraction(1, 2)
     c = ConstLinear.scalar(0 if twisted else half)
-    an = PiecewiseLaurent(case.X, [{**{e: v * half for e, v in p.items()},
-                                    0: p.get(0, ConstLinear.zero()) * half + c}
-                                   for p in build_fracsquare_series(case, h, twisted).pieces])
+    an = _combination(case.X, (half, 0, build_fracsquare_series(case, h, twisted).pieces),
+                      (1, 0, repeat({0: c})))
     return solution_family(h, _a1_form(case.a) * half if twisted else 0), an
 
 
@@ -147,9 +146,12 @@ def twisted_case(case: VolterraCase) -> DecompositionCase:
 
 
 def _side_for(case: DecompositionCase, x: Fraction) -> Side:
-    if case.kind == "twisted":
-        return Side.MIDPOINT if (x.denominator == 1 and x.numerator > 0) else Side.POINT
-    return Side.RIGHT if x.denominator == 1 else Side.POINT
+    """MIDPOINT at a positive integer of the twisted split, else POINT:
+    every part of a split has floor(X) + 1 pieces, so POINT reads the right
+    limit at each integer of [0, X]."""
+    if case.kind == "twisted" and x.denominator == 1 and x.numerator > 0:
+        return Side.MIDPOINT
+    return Side.POINT
 
 
 def split_at(case: DecompositionCase, x):
@@ -210,13 +212,18 @@ def trivial_character_relations(case: VolterraCase, plain: DecompositionCase,
             continue
         report.add("trivial_f", x, f.eval_at(x))
         report.add("trivial_g", x, g.eval_at(x))
-        report.add("mertens_floor", x, floor_sum(a, x) - as_gaussian(1))
+        report.add("mertens_floor", x, floor_sum(a, x) - 1)
     return report
 
 
 # ---------------------------------------------------------------------------
 # the identity suites
 # ---------------------------------------------------------------------------
+
+# verify_suites holds every grid point and report row at once, about 3 kB
+# per point, so it refuses a grid of more points than this
+_MAX_GRID_POINTS = 100_000
+
 
 def verify_suites(case: VolterraCase, grid_denominator: int,
                   A_list: Sequence[GaussianRational],
@@ -233,11 +240,14 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
     of every suite.  ``case.b`` may be an override, which the suites expose.
     """
     X = case.X
-    points = [Fraction(k, grid_denominator)
-              for k in range(math.floor(X * grid_denominator) + 1)]
-    grid = points[1:]
-    if not grid:
+    top = math.floor(X * grid_denominator)
+    if not top:
         raise DomainError(f"the grid k/{grid_denominator} on (0, {X}] is empty")
+    if top > _MAX_GRID_POINTS:
+        raise DomainError(f"the grid k/{grid_denominator} on (0, {X}] has {top} points, "
+                          f"more than the {_MAX_GRID_POINTS} a run may hold")
+    points = [Fraction(k, grid_denominator) for k in range(top + 1)]
+    grid = points[1:]
     report = VerificationReport()
     E = build_error_term(case) if split is None else split.error
     h = build_fracpart_series(case)
@@ -266,7 +276,7 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
 
     for n in range(1, math.floor(X) + 1):
         jump = h.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.LEFT)
-        expect = ConstLinear(as_gaussian(case.b.value(n)) / n)
+        expect = ConstLinear(case.b.value(n)) / n
         report.add(f"jump[{n}]", n, jump - expect)
         r_right = E.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.RIGHT) * n
         r_left = E.eval_at(n, Side.LEFT) - h.eval_at(n, Side.LEFT) * n

@@ -104,15 +104,11 @@ class GaussianRational:
     def __neg__(self) -> "GaussianRational":
         return _gauss(-self.re, -self.im)
 
-    # Each operator skips the imaginary arithmetic when both operands are real.
-
     def __add__(self, other):
         other = as_gaussian(other, strict=False)
         if other is None:
             return NotImplemented
-        if self.im or other.im:
-            return _gauss(self.re + other.re, self.im + other.im)
-        return _gauss(self.re + other.re, _F0)
+        return _gauss(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -120,9 +116,7 @@ class GaussianRational:
         other = as_gaussian(other, strict=False)
         if other is None:
             return NotImplemented
-        if self.im or other.im:
-            return _gauss(self.re - other.re, self.im - other.im)
-        return _gauss(self.re - other.re, _F0)
+        return _gauss(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = as_gaussian(other, strict=False)
@@ -134,10 +128,8 @@ class GaussianRational:
         other = as_gaussian(other, strict=False)
         if other is None:
             return NotImplemented
-        if self.im or other.im:
-            return _gauss(self.re * other.re - self.im * other.im,
-                          self.re * other.im + self.im * other.re)
-        return _gauss(self.re * other.re, _F0)
+        return _gauss(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
 
@@ -145,8 +137,6 @@ class GaussianRational:
         other = as_gaussian(other, strict=False)
         if other is None:
             return NotImplemented
-        if not (self.im or other.im) and other.re:
-            return _gauss(self.re / other.re, _F0)
         d = other.abs2()
         if not d:
             raise ZeroDivisionError("division by zero Gaussian rational")

@@ -26,7 +26,7 @@ from itertools import repeat
 from typing import Optional
 
 from .errors import DomainError
-from .exactnum import ConstLinear, GaussianRational, as_gaussian
+from .exactnum import ConstLinear
 from .piecewise import PiecewiseLaurent, _combination
 from .sequences import ArithSequence, convolve_id
 
@@ -75,7 +75,7 @@ def make_case(a: ArithSequence, X, *, b: Optional[ArithSequence] = None) -> Volt
         if b.N < math.floor(X):
             raise DomainError(f"supplied b covers only 1..{b.N} < {math.floor(X)}")
         for n in range(1, min(8, b.N) + 1):
-            if as_gaussian(b.value(n)) != as_gaussian(b_true.value(n)):
+            if ConstLinear(b.value(n)) != ConstLinear(b_true.value(n)):
                 raise ValueError(f"supplied b({n}) does not match the convolution")
     return VolterraCase(a, b, b_true, X)
 
@@ -98,12 +98,11 @@ def build_fracpart_series(case: VolterraCase) -> PiecewiseLaurent:
     with the case's ``b_true`` so the piece data depends on a alone.
     """
     slope = ConstLinear.a2(-1)
-    pieces = []
-    const = GaussianRational(0)
-    for k in range(math.floor(case.X) + 1):
-        if k:
-            const = const + as_gaussian(case.b_true.value(k)) / k
-        pieces.append({1: slope, 0: ConstLinear(const)})
+    const = ConstLinear.zero()
+    pieces = [{1: slope, 0: const}]
+    for k in range(1, math.floor(case.X) + 1):
+        const = const + ConstLinear(case.b_true.value(k)) / k
+        pieces.append({1: slope, 0: const})
     return PiecewiseLaurent(case.X, pieces)
 
 

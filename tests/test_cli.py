@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from errlab import cli
+from errlab import cli, decomposition
 from errlab.cli import main
 from errlab.exactnum import GaussianRational
 from errlab.piecewise import monomial
@@ -367,6 +367,13 @@ class TestVerify:
                             "--X", "5"], capsys)
         assert code == 2
         assert f"{chi}: row 2" in err
+
+    def test_grid_over_cap_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(decomposition, "_MAX_GRID_POINTS", 30)
+        assert run(["verify", "--seq", "mu", "--X", "10"], capsys)[0] == 0
+        code, _, err = run(["verify", "--seq", "mu", "--X", "10", "--denom", "4"], capsys)
+        assert code == 2
+        assert "has 40 points, more than the 30" in err
 
     def test_domain_below_one_exits_2(self, capsys):
         code, _, err = run(["verify", "--seq", "mu", "--X", "1/3"], capsys)

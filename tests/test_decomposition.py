@@ -1,11 +1,13 @@
 """Arithmetic/analytic split of the error term, plain and twisted."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import frac_part, sawtooth_oracle
+from errlab import decomposition
 from errlab.decomposition import (FROZEN_GROWTH_MAX, build_fracsquare_series,
                                   decompose, growth_max_ratio, split_at,
                                   trivial_character_relations, twisted_case,
@@ -286,6 +288,17 @@ class TestVerifySuites:
         case = case_of(mobius_sieve(30))
         report = verify_suites(case, 3, [GaussianRational(0)], untwisted_case(case))
         assert report.all_pass and calls == []
+
+    def test_grid_cap(self, monkeypatch):
+        # the cap counts the points k/denom of (0, X] and is checked before
+        # any point is built
+        monkeypatch.setattr(decomposition, "_MAX_GRID_POINTS", 30)
+        case = case_of(mobius_sieve(10))
+        assert verify_suites(case, 3, [GaussianRational(0)]).all_pass
+        with pytest.raises(DomainError, match="has 31 points, more than the 30"):
+            verify_suites(replace(case, X=Fraction(31, 3)), 3, [])
+        with pytest.raises(DomainError, match="has 40 points"):
+            verify_suites(case, 4, [])
 
     @pytest.mark.parametrize("d", [None, -3], ids=["plain", "twisted_-3"])
     def test_decomposition_rows_match_decompose(self, d):

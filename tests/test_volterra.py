@@ -67,6 +67,15 @@ class TestCaseAssembly:
         with pytest.raises(ValueError):
             make_case(mu, 20, b=bad)
 
+    def test_spot_check_compares_values_not_types(self):
+        # the convolution of the sieve holds ints; the same values as
+        # Fractions or Gaussian rationals pass
+        mu = mobius_sieve(20)
+        b = convolve_id(mu)
+        for kind in (Fraction, GaussianRational):
+            same = ArithSequence("same", [kind(b.value(n)) for n in range(1, 21)])
+            assert make_case(mu, 20, b=same).b is same
+
     def test_b_is_keyword_only(self):
         # b is keyword-only, so a stray positional argument cannot bind it
         with pytest.raises(TypeError):
@@ -96,14 +105,17 @@ class TestFracpartSeries:
 
     def test_constants_against_direct_floor_sums(self):
         # the piece constant is sum_{n<=k} (a(n)/n) floor(k/n), rebuilt here
-        # longhand instead of through the convolution recurrence
-        a = twist(mobius_sieve(60), kronecker_character(-3))
-        h = build_fracpart_series(make_case(a, 60))
-        for k in range(0, 61, 7):
-            direct = GaussianRational(0)
-            for n in range(1, k + 1):
-                direct = direct + as_gaussian(a.value(n)) * (k // n) / n
-            assert h.pieces[k].get(0, ConstLinear.zero()) == ConstLinear(direct), k
+        # longhand in Gaussian rationals instead of through the convolution
+        # recurrence, for int, Gaussian and Fraction values
+        fractions = ArithSequence("q", [Fraction((-1) ** n * n, n + 1) for n in range(1, 37)])
+        for a in (twist(mobius_sieve(60), kronecker_character(-3)),
+                  complex_file_sequence(), fractions):
+            h = build_fracpart_series(make_case(a, a.N))
+            for k in range(0, a.N + 1, 7):
+                direct = GaussianRational(0)
+                for n in range(1, k + 1):
+                    direct = direct + as_gaussian(a.value(n)) * (k // n) / n
+                assert h.pieces[k].get(0, ConstLinear.zero()) == ConstLinear(direct), (a, k)
 
     def test_closed_form_equals_series_plus_tail(self):
         # representation value = finite fractional-part sum - x * (A2 - partial)
