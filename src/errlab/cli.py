@@ -16,7 +16,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .decomposition import (FROZEN_GROWTH_MAX, growth_max_ratio, split_at,
+from .decomposition import (FROZEN_GROWTH_MAX, _grid_top, growth_max_ratio, split_at,
                             twisted_case, untwisted_case, verify_suites)
 from .errors import CapacityError, DomainError, FormatError, PrecisionError
 from .exactnum import GaussianRational, parse_rational
@@ -170,6 +170,7 @@ def _output(args):
 
 def _run_verify(args) -> VerificationReport:
     a, b_override, chi, X = _load_to_X(args)
+    _grid_top(X, args.denom)   # before make_case, whose cost grows with X
     if args.b_file:
         b_override, extra = read_sequence_csv(args.b_file)
         if extra is not None:

@@ -212,7 +212,8 @@ def trivial_character_relations(case: VolterraCase, plain: DecompositionCase,
             continue
         report.add("trivial_f", x, f.eval_at(x))
         report.add("trivial_g", x, g.eval_at(x))
-        report.add("mertens_floor", x, floor_sum(a, x) - 1)
+        # the row keeps floor_sum's GaussianRational, written as its repr
+        report.add("mertens_floor", x, (ConstLinear(floor_sum(a, x)) - 1).c1)
     return report
 
 
@@ -223,6 +224,18 @@ def trivial_character_relations(case: VolterraCase, plain: DecompositionCase,
 # verify_suites holds every grid point and report row at once, about 3 kB
 # per point, so it refuses a grid of more points than this
 _MAX_GRID_POINTS = 100_000
+
+
+def _grid_top(X, grid_denominator: int) -> int:
+    """The number of grid points k/grid_denominator on (0, X]; DomainError when
+    it is 0 or above _MAX_GRID_POINTS.  The CLI checks it before it builds a case."""
+    top = math.floor(X * grid_denominator)
+    if not top:
+        raise DomainError(f"the grid k/{grid_denominator} on (0, {X}] is empty")
+    if top > _MAX_GRID_POINTS:
+        raise DomainError(f"the grid k/{grid_denominator} on (0, {X}] has {top} points, "
+                          f"more than the {_MAX_GRID_POINTS} a run may hold")
+    return top
 
 
 def verify_suites(case: VolterraCase, grid_denominator: int,
@@ -240,12 +253,7 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
     of every suite.  ``case.b`` may be an override, which the suites expose.
     """
     X = case.X
-    top = math.floor(X * grid_denominator)
-    if not top:
-        raise DomainError(f"the grid k/{grid_denominator} on (0, {X}] is empty")
-    if top > _MAX_GRID_POINTS:
-        raise DomainError(f"the grid k/{grid_denominator} on (0, {X}] has {top} points, "
-                          f"more than the {_MAX_GRID_POINTS} a run may hold")
+    top = _grid_top(X, grid_denominator)
     points = [Fraction(k, grid_denominator) for k in range(top + 1)]
     grid = points[1:]
     report = VerificationReport()
@@ -271,8 +279,8 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
         report.add("uniqueness_surrogate", x, slope.eval_at(x) - c_ref)
 
     for x in grid:
-        report.add("floor_summatory", x,
-                   ConstLinear(summatory_via_floor_identity(case.a, x) - summatory(case.b, x)))
+        report.add("floor_summatory", x, ConstLinear(summatory_via_floor_identity(case.a, x))
+                   - ConstLinear(summatory(case.b, x)))
 
     for n in range(1, math.floor(X) + 1):
         jump = h.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.LEFT)

@@ -1,6 +1,8 @@
-"""Exact scalars: Gaussian rationals and affine forms in two series constants.
+"""Exact scalars: affine forms in two series constants, and Gaussian rationals.
 
-A ``ConstLinear`` value means ``c1 + cA2*A2 + cA1*A1`` where ``A2`` and ``A1``
+``ConstLinear`` does every exact sum and product.  ``GaussianRational`` is a
+value type with no arithmetic; ``ConstLinear(z)`` turns it into a form.  A
+``ConstLinear`` value means ``c1 + cA2*A2 + cA1*A1`` where ``A2`` and ``A1``
 stand for the sums of a(n)/n^2 and a(n)/n of an ambient arithmetical sequence.
 Both constants are kept symbolic, so "this identity holds" becomes a decidable
 coefficient comparison: the value is zero exactly when all three coefficients
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import numbers
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -74,7 +77,7 @@ def _gauss(re: Fraction, im: Fraction) -> "GaussianRational":
 
 
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational parts; a value with no arithmetic."""
 
     __slots__ = ("re", "im")
 
@@ -84,10 +87,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -101,63 +100,24 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __neg__(self) -> "GaussianRational":
-        return _gauss(-self.re, -self.im)
-
-    def __add__(self, other):
-        other = as_gaussian(other, strict=False)
-        if other is None:
-            return NotImplemented
-        return _gauss(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = as_gaussian(other, strict=False)
-        if other is None:
-            return NotImplemented
-        return _gauss(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = as_gaussian(other, strict=False)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = as_gaussian(other, strict=False)
-        if other is None:
-            return NotImplemented
-        return _gauss(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_gaussian(other, strict=False)
-        if other is None:
-            return NotImplemented
-        d = other.abs2()
-        if not d:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return _gauss((self.re * other.re + self.im * other.im) / d,
-                      (self.im * other.re - self.re * other.im) / d)
-
-    def __rtruediv__(self, other):
-        other = as_gaussian(other, strict=False)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def to_text(self) -> str:
         """Canonical form ``p/q`` or ``p/q+r/s*i``."""
-        real = f"{self.re.numerator}/{self.re.denominator}"
-        if not self.im:
+        try:
+            return self._text(str)
+        except ValueError:
+            # an int past sys.get_int_max_str_digits(), the most digits str()
+            # writes; a Decimal writes all of them
+            return self._text(Decimal)
+
+    def _text(self, digits) -> str:
+        re, im = self.re, self.im
+        real = f"{digits(re.numerator)}/{digits(re.denominator)}"
+        if not im:
             return real
-        return f"{real}+{self.im.numerator}/{self.im.denominator}*i"
+        return f"{real}+{digits(im.numerator)}/{digits(im.denominator)}*i"
 
     @classmethod
     def from_text(cls, text: str) -> "GaussianRational":
@@ -178,11 +138,9 @@ class GaussianRational:
 def as_gaussian(value, strict: bool = True):
     """Coerce int/Fraction/GaussianRational to GaussianRational.
 
-    With ``strict=False`` returns None on unsupported types (operator protocol).
+    With ``strict=False`` returns None on unsupported types (for ``==``).
     """
     t = type(value)
-    if t is GaussianRational:
-        return value
     if t is Fraction:
         return _gauss(value, _F0)
     if t is int:
@@ -197,20 +155,21 @@ def as_gaussian(value, strict: bool = True):
 
 
 def _scalar_parts(value):
-    """``(re, im, den)``, den > 0, of an exact scalar; None for other types."""
+    """``(re, im, den)``, den > 0 and in lowest terms with re and im, of an
+    int, a Fraction or a ConstLinear scalar; None for other types."""
     t = type(value)
     if t is Fraction:
         return value.numerator, 0, value.denominator
     if t is int:
         return value, 0, 1
-    z = as_gaussian(value, strict=False)
-    if z is None:
-        return None
-    re, im = z.re, z.im
-    if not im:
-        return re.numerator, 0, re.denominator
-    d = lcm(re.denominator, im.denominator)
-    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+    if t is ConstLinear:
+        if not value.is_scalar():
+            raise ValueError("a symbolic ConstLinear value is not a scalar")
+        return value._n[0], value._n[1], value._d
+    if isinstance(value, (numbers.Integral, Fraction)):
+        value = Fraction(value)
+        return value.numerator, 0, value.denominator
+    return None
 
 
 def _form(n: tuple, d: int) -> "ConstLinear":
@@ -256,6 +215,7 @@ class ConstLinear:
     __slots__ = ("_n", "_d")
 
     def __init__(self, c1=0, cA2=0, cA1=0):
+        """Each coefficient is an int, a Fraction, a GaussianRational or a scalar form."""
         # every coefficient is reduced, so the lcm of their denominators is
         # in lowest terms with the scaled numerators
         if type(c1) is int and type(cA2) is int and type(cA1) is int:
@@ -264,10 +224,19 @@ class ConstLinear:
             return
         parts = []
         for c in (c1, cA2, cA1):
-            z = as_gaussian(c)
-            parts += (z.re, z.im)
-        d = lcm(*(q.denominator for q in parts))
-        self._n = tuple(q.numerator * (d // q.denominator) for q in parts)
+            if isinstance(c, GaussianRational):
+                re, im = c.re, c.im
+                s = lcm(re.denominator, im.denominator)
+                c = re.numerator * (s // re.denominator), im.numerator * (s // im.denominator), s
+            else:
+                c = _scalar_parts(c)
+                if c is None:
+                    raise TypeError("a coefficient must be an exact scalar")
+            parts.append(c)
+        (p0, q0, s0), (p1, q1, s1), (p2, q2, s2) = parts
+        d = lcm(s0, s1, s2)
+        f0, f1, f2 = d // s0, d // s1, d // s2
+        self._n = (p0 * f0, q0 * f0, p1 * f1, q1 * f1, p2 * f2, q2 * f2)
         self._d = d
 
     @classmethod
@@ -328,7 +297,9 @@ class ConstLinear:
 
     def __add__(self, other):
         if not isinstance(other, ConstLinear):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ConstLinear(other)
         a0, a1, a2, a3, a4, a5 = self._n
         b0, b1, b2, b3, b4, b5 = other._n
         d, e = self._d, other._d
@@ -341,7 +312,9 @@ class ConstLinear:
 
     def __sub__(self, other):
         if not isinstance(other, ConstLinear):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ConstLinear(other)
         a0, a1, a2, a3, a4, a5 = self._n
         b0, b1, b2, b3, b4, b5 = other._n
         d, e = self._d, other._d
@@ -351,6 +324,11 @@ class ConstLinear:
         fa, fb = e // g, d // g
         return _joined(a0 * fa - b0 * fb, a1 * fa - b1 * fb, a2 * fa - b2 * fb,
                        a3 * fa - b3 * fb, a4 * fa - b4 * fb, a5 * fa - b5 * fb, d * fa, g)
+
+    __radd__ = __add__
+
+    def __rsub__(self, other):
+        return -self + other
 
     def _scaled(self, p: int, s: int) -> "ConstLinear":
         """The form times p/s, with s > 0 and gcd(p, s) == 1."""
@@ -382,25 +360,20 @@ class ConstLinear:
             return self._scaled(other.numerator, other.denominator)
         if t is int:
             return self._scaled(other, 1)
-        if isinstance(other, ConstLinear):
+        if isinstance(other, ConstLinear) and not other.is_scalar():
             # The basis is not closed under multiplication; only a pure scalar
             # factor is meaningful.
-            if not other.is_scalar():
-                if not self.is_scalar():
-                    raise ValueError("product of two symbolic ConstLinear values is not "
-                                     "representable in the basis {1, A2, A1}")
-                self, other = other, self
-            p, q, s = other._n[0], other._n[1], other._d
-            if not q:
-                # a real scalar form in lowest terms has gcd(p, s) == 1
-                return self._scaled(p, s)
-        else:
-            parts = _scalar_parts(other)
-            if parts is None:
-                return NotImplemented
-            p, q, s = parts
-            if not q:
-                return self._scaled(p, s)
+            if not self.is_scalar():
+                raise ValueError("product of two symbolic ConstLinear values is not "
+                                 "representable in the basis {1, A2, A1}")
+            self, other = other, self
+        parts = _scalar_parts(other)
+        if parts is None:
+            return NotImplemented
+        p, q, s = parts
+        if not q:
+            # a real scalar in lowest terms has gcd(p, s) == 1
+            return self._scaled(p, s)
         return self._times(p, q, s)
 
     __rmul__ = __mul__
@@ -412,7 +385,7 @@ class ConstLinear:
         p, q, s = parts
         if not q:
             if not p:
-                raise ZeroDivisionError("division by zero Gaussian rational")
+                raise ZeroDivisionError("division by a zero scalar")
             return self._scaled(s, p) if p > 0 else self._scaled(-s, -p)
         return self._times(p * s, -q * s, p * p + q * q)
 
@@ -430,6 +403,12 @@ class ConstLinear:
                 + complex(n4 / d, n5 / d) * a1)
 
     def to_text(self) -> str:
+        try:
+            return self._text(str)
+        except ValueError:   # as in GaussianRational.to_text
+            return self._text(Decimal)
+
+    def _text(self, digits) -> str:
         n0, n1, n2, n3, n4, n5 = self._n
         d = self._d
         # every part but re c1 is reduced on its own (0 gives 0/1) ...
@@ -442,13 +421,14 @@ class ConstLinear:
             for n in (n1, n3, n5):
                 g = gcd(n, d)
                 rest = lcm(rest, d // g)
-                ims.append(f"+{n // g}/{d // g}*i" if n else "")
+                ims.append(f"+{digits(n // g)}/{digits(d // g)}*i" if n else "")
         # ... and in lowest terms d is the lcm of the six reduced denominators,
         # so the factor that re c1 cancels divides rest, the lcm of the others
         g = gcd(rest, n0)
-        re1 = f"{n0}/{d}" if g == 1 else f"{n0 // g}/{d // g}"
-        return (f"{re1}{ims[0]} + {n2 // g2}/{q2}{ims[1]}*A2 + "
-                f"{n4 // g4}/{q4}{ims[2]}*A1")
+        re1 = (f"{digits(n0)}/{digits(d)}" if g == 1
+               else f"{digits(n0 // g)}/{digits(d // g)}")
+        return (f"{re1}{ims[0]} + {digits(n2 // g2)}/{digits(q2)}{ims[1]}*A2 + "
+                f"{digits(n4 // g4)}/{digits(q4)}{ims[2]}*A1")
 
     @classmethod
     def from_text(cls, text: str) -> "ConstLinear":

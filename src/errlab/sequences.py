@@ -9,8 +9,9 @@ error bounds.
 
 Only the sieves store numpy arrays: the Moebius and totient sieves and their
 twists.  Every other sequence holds a list of exact values (Python ints,
-Fraction or GaussianRational), a numpy array handed to ArithSequence
-included.
+Fractions or ConstLinear scalars), a numpy array handed to ArithSequence
+included.  A complex value is a ConstLinear scalar; summatory and the floor
+sums return a GaussianRational.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import lfunc
 from .errors import (CapacityError, DomainError, FormatError, PrecisionError,
                      UncertifiableSeriesError)
-from .exactnum import GaussianRational, as_gaussian
+from .exactnum import ConstLinear, GaussianRational, as_gaussian
 from .report import write_csv_rows
 
 __all__ = [
@@ -56,7 +57,7 @@ __all__ = [
 #: Memory budget guard: sieves refuse ranges beyond this.
 MAX_SIEVE = 1 << 24
 
-Value = Union[int, Fraction, GaussianRational]
+Value = Union[int, Fraction, ConstLinear]
 
 
 class ArithSequence:
@@ -68,6 +69,7 @@ class ArithSequence:
     ``values`` lists a(1..N); a numpy array holds a(0..N), with index 0
     ignored, and must have an integer dtype.  Either way the sequence keeps
     a list of the values as Python objects; only _sieved keeps an array.
+    A GaussianRational value is stored as a ConstLinear scalar.
     """
 
     def __init__(self, name: str, values, magnitude_bound: Optional[Fraction] = None,
@@ -79,7 +81,8 @@ class ArithSequence:
             values = values[1:].tolist()
         self.name = name
         self._arr = None
-        self._list = [0] + list(values)
+        self._list = [0] + [ConstLinear(v) if isinstance(v, GaussianRational) else v
+                            for v in values]
         self.N = len(self._list) - 1
         self.magnitude_bound = None if magnitude_bound is None else Fraction(magnitude_bound)
         self.known_A1 = known_A1
@@ -378,12 +381,17 @@ def convolve_id(a: ArithSequence) -> ArithSequence:
     return ArithSequence(f"({a.name})*Id", _divisor_pass(a, list(range(a.N + 1)))[1:])
 
 
+def _gaussian(value: Value) -> GaussianRational:
+    """A sequence value or sum as a GaussianRational."""
+    return value.c1 if isinstance(value, ConstLinear) else as_gaussian(value)
+
+
 def summatory(b: ArithSequence, x) -> GaussianRational:
     """Exact sum_{n<=x} b(n), right-continuous: integer x includes the term n=x."""
     x = Fraction(x)
     if x < 0 or x > b.N:
         raise DomainError(f"summatory point {x} outside 0..{b.N}")
-    return as_gaussian(b.prefix_sum(math.floor(x)))
+    return _gaussian(b.prefix_sum(math.floor(x)))
 
 
 def _floor_weighted(a: ArithSequence, x, weight) -> GaussianRational:
@@ -405,7 +413,7 @@ def _floor_weighted(a: ArithSequence, x, weight) -> GaussianRational:
         upto = a.prefix_sum(hi)
         total = total + (upto - below) * weight(m)
         below, lo = upto, hi + 1
-    return as_gaussian(total)
+    return _gaussian(total)
 
 
 def summatory_via_floor_identity(a: ArithSequence, x) -> GaussianRational:
@@ -468,8 +476,8 @@ def _partial_a2(a: ArithSequence) -> complex:
 
     math.fsum is correctly rounded, so a sieve's array may sum its terms
     in any order and grouping that is exact, as _a2_bins does.  An int value
-    is divided directly: int / int rounds correctly, as the float of a
-    Gaussian value's Fraction does.
+    is divided directly: int / int rounds correctly, as the float of the
+    Fraction quotient of any other value does.
     """
     arr = a.int_array()
     if arr is not None:
@@ -479,12 +487,12 @@ def _partial_a2(a: ArithSequence) -> complex:
     for n in range(1, a.N + 1):
         v = a.value(n)
         nn = n * n
-        if type(v) is int:
-            re.append(v / nn)
+        if isinstance(v, ConstLinear):
+            z = v.c1
+            re.append(z.re / nn)
+            im.append(z.im / nn)
         else:
-            g = as_gaussian(v)
-            re.append(g.re / nn)
-            im.append(g.im / nn)
+            re.append(v / nn)
     return complex(math.fsum(re), math.fsum(im))
 
 
@@ -611,7 +619,7 @@ def read_sequence_csv(path):
 def write_sequence_csv(target, a: ArithSequence) -> None:
     """``n,value`` rows; target is a path or an open text stream."""
     write_csv_rows(target, ["n", "value"],
-               ([n, as_gaussian(a.value(n)).to_text()] for n in range(1, a.N + 1)))
+               ([n, _gaussian(a.value(n)).to_text()] for n in range(1, a.N + 1)))
 
 
 def read_character_csv(path) -> CharacterSpec:

@@ -1,4 +1,5 @@
-"""Shared brute-force oracles, all independent of the library's fast paths."""
+"""Shared brute-force oracles, all independent of the library's fast paths:
+they add and multiply (re, im) pairs of Fractions, never an errlab scalar."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from errlab.exactnum import GaussianRational, as_gaussian
+from errlab.exactnum import ConstLinear, GaussianRational
 
 
 def mobius_oracle(n: int) -> int:
@@ -49,32 +50,37 @@ def totient_oracle(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def gaussian(value) -> GaussianRational:
+    """An exact scalar (see _ref_pair) as a GaussianRational."""
+    return GaussianRational(*_ref_pair(value))
+
+
+def weighted_sum(terms) -> GaussianRational:
+    """sum value * weight over the (value, weight) pairs of terms, on (re, im)
+    Fraction pairs; a value is any exact scalar _ref_pair reads."""
+    re = im = Fraction(0)
+    for value, weight in terms:
+        p, q = _ref_pair(value)
+        re += p * weight
+        im += q * weight
+    return GaussianRational(re, im)
+
+
 def unit_divisor_sum_oracle(a, n: int) -> GaussianRational:
     """sum_{d|n} a(d) by trial division of n."""
-    total = GaussianRational(0)
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total = total + as_gaussian(a.value(d))
-    return total
+    return weighted_sum((a.value(d), 1) for d in range(1, n + 1) if n % d == 0)
 
 
 def divisor_sum_oracle(a, n: int) -> GaussianRational:
     """sum_{d|n} a(d) * (n/d) by trial division of n."""
-    total = GaussianRational(0)
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total = total + as_gaussian(a.value(d)) * (n // d)
-    return total
+    return weighted_sum((a.value(d), n // d) for d in range(1, n + 1) if n % d == 0)
 
 
 def floor_identity_oracle(a, x) -> GaussianRational:
     """sum_{d<=x} a(d) * m(m+1)/2 with m = floor(x/d), one term per d."""
     x = Fraction(x)
-    total = GaussianRational(0)
-    for d in range(1, math.floor(x) + 1):
-        m = math.floor(x / d)
-        total = total + as_gaussian(a.value(d)) * Fraction(m * (m + 1), 2)
-    return total
+    return weighted_sum((a.value(d), Fraction(m * (m + 1), 2))
+                        for d in range(1, math.floor(x) + 1) for m in [math.floor(x / d)])
 
 
 def quadratic_residue_character(q: int):
@@ -95,22 +101,20 @@ def sawtooth_oracle(x: Fraction) -> Fraction:
 def fracpart_series_finite(a, x: Fraction) -> GaussianRational:
     """The finite part -sum_{n<=x} (a(n)/n) {x/n}, exact."""
     x = Fraction(x)
-    total = GaussianRational(0)
-    for n in range(1, math.floor(x) + 1):
-        total = total - as_gaussian(a.value(n)) * frac_part(x / n) / n
-    return total
+    return weighted_sum((a.value(n), -frac_part(x / n) / n)
+                        for n in range(1, math.floor(x) + 1))
 
 
 def partial_quadratic_sum(a, m: int) -> GaussianRational:
     """sum_{n<=m} a(n)/n^2, exact."""
-    total = GaussianRational(0)
-    for n in range(1, m + 1):
-        total = total + as_gaussian(a.value(n)) / (n * n)
-    return total
+    return weighted_sum((a.value(n), Fraction(1, n * n)) for n in range(1, m + 1))
 
 
 def _ref_pair(value):
-    """(re, im) Fractions of an int, Fraction or GaussianRational."""
+    """(re, im) Fractions of an int, a Fraction, a GaussianRational or a
+    ConstLinear scalar (a form with no A2 or A1 part), read off its c1 view."""
+    if isinstance(value, ConstLinear) and value.is_scalar():
+        value = value.c1
     if isinstance(value, GaussianRational):
         return value.re, value.im
     if isinstance(value, (int, Fraction)):
@@ -155,15 +159,32 @@ class RefConstLinear:
     def __neg__(self):
         return self._of((-re, -im) for re, im in self.c)
 
+    @classmethod
+    def _summand(cls, other):
+        """A form as it is and an int or a Fraction as a scalar form; None
+        for other types."""
+        if isinstance(other, RefConstLinear):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return cls(other)
+        return None
+
     def __add__(self, other):
-        if not isinstance(other, RefConstLinear):
+        other = self._summand(other)
+        if other is None:
             return NotImplemented
         return self._of((a + c, b + d) for (a, b), (c, d) in zip(self.c, other.c))
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if not isinstance(other, RefConstLinear):
+        other = self._summand(other)
+        if other is None:
             return NotImplemented
         return self._of((a - c, b - d) for (a, b), (c, d) in zip(self.c, other.c))
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, RefConstLinear):
@@ -202,3 +223,30 @@ class RefConstLinear:
             t = _ref_rat_text(re)
             texts.append(f"{t}+{_ref_rat_text(im)}*i" if im else t)
         return f"{texts[0]} + {texts[1]}*A2 + {texts[2]}*A1"
+
+
+def mixed_file_values(n: int = 36) -> list:
+    """a(1..n) for a file that holds ints, Fractions and Gaussian rationals
+    side by side, each of modulus at most 2: an int at k = 1 mod 3, a
+    Fraction at k = 2 mod 3 and a value off the real axis at k = 0 mod 3."""
+    vals = []
+    for k in range(1, n + 1):
+        j = k // 3
+        if k % 3 == 1:
+            vals.append(j % 5 - 2)
+        elif k % 3 == 2:
+            vals.append(Fraction(j % 7 - 3, j % 4 + 2))
+        else:
+            vals.append(GaussianRational(Fraction((-1) ** j, k), Fraction(1, j % 5 + 2)))
+    return vals
+
+
+def mixed_file_text(n: int = 36) -> str:
+    """The ``n,value`` CSV of mixed_file_values(n), each value written as a
+    user would: ``p``, ``p/q`` or ``p/q+r/s*i``."""
+    def text(v):
+        if isinstance(v, GaussianRational):
+            return f"{v.re}+{v.im}*i"
+        return str(v)
+    return "n,value\n" + "".join(f"{k},{text(v)}\n"
+                                 for k, v in enumerate(mixed_file_values(n), start=1))

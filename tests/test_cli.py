@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import mixed_file_text
 from errlab import cli, decomposition
 from errlab.cli import main
 from errlab.exactnum import GaussianRational
@@ -69,6 +70,11 @@ GOLDEN_OUTPUTS = {
                            "1751751677b430857a02894261f34421d1252cb70cae90d617a735c714de1093"),
     "sieve_file_gaussian": (["sieve", "--seq", "file:{seq}", "--N", "10"], 0,
                             "66285be4f529771cf74ddd91d5bbca0ba1d2b0c74d2553525ba26bd4aca0e84e"),
+    # "{mixed}" holds ints, Fractions and complex values in one file
+    "sieve_file_mixed": (["sieve", "--seq", "file:{mixed}", "--N", "36"], 0,
+                         "b38fcac672faf1fc51546315d7fb35c21c271a5acdfe25243749eaf1d774f30c"),
+    "verify_file_mixed": (["verify", "--seq", "file:{mixed}", "--denom", "2"], 0,
+                          "9c54723ba8db3a622721f8704cf4e81705c36da49d9fdc2aa7be6cab6e276e6f"),
     "solve_exact_complex_A": (["solve", "--input", "{dump}", "--A", "3/2+1/2*i",
                                "--denom", "4"], 0,
                               "29c6afc07ad7f7a75191b2a6e323c2fbd0f4bd2e021a698209f5ec5e23377eb3"),
@@ -98,7 +104,7 @@ def golden_argv(name, tmp_path):
         f"{n},{phi.value(n) + (1 if n == 13 else 0)}/1\n" for n in range(1, 21)))
     inputs = {"b": bfile}
     for key, text in (("seq", GOLDEN_SEQ), ("dump", GOLDEN_DUMP),
-                      ("real_dump", GOLDEN_REAL_DUMP)):
+                      ("real_dump", GOLDEN_REAL_DUMP), ("mixed", mixed_file_text())):
         inputs[key] = tmp_path / f"{key}.txt"
         inputs[key].write_text(text)
     return [s.format(**inputs) for s in GOLDEN_OUTPUTS[name][0]]
@@ -374,6 +380,19 @@ class TestVerify:
         code, _, err = run(["verify", "--seq", "mu", "--X", "10", "--denom", "4"], capsys)
         assert code == 2
         assert "has 40 points, more than the 30" in err
+
+    def test_grid_cap_checked_before_the_case_is_built(self, monkeypatch, capsys):
+        # the convolution and the split grow with X, so an over-cap grid is
+        # refused before make_case runs
+        monkeypatch.setattr(decomposition, "_MAX_GRID_POINTS", 30)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("make_case ran for an over-cap grid")
+
+        monkeypatch.setattr(cli, "make_case", unreachable)
+        code, _, err = run(["verify", "--seq", "mu", "--X", "11"], capsys)
+        assert code == 2
+        assert "error: the grid k/3 on (0, 11] has 33 points, more than the 30" in err
 
     def test_domain_below_one_exits_2(self, capsys):
         code, _, err = run(["verify", "--seq", "mu", "--X", "1/3"], capsys)

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import frac_part, sawtooth_oracle
+from conftest import frac_part, sawtooth_oracle, weighted_sum
 from errlab import decomposition
 from errlab.decomposition import (FROZEN_GROWTH_MAX, build_fracsquare_series,
                                   decompose, growth_max_ratio, split_at,
                                   trivial_character_relations, twisted_case,
                                   untwisted_case, verify_suites)
 from errlab.errors import DomainError
-from errlab.exactnum import ConstLinear, GaussianRational, as_gaussian
+from errlab.exactnum import ConstLinear, GaussianRational
 from errlab.piecewise import PiecewiseLaurent, Side
 from errlab.sequences import (ArithSequence, convolve_id, kronecker_character,
                               mobius_sieve, twist)
@@ -81,14 +81,11 @@ class TestFracsquareSeries:
         a = twist(mobius_sieve(30), kronecker_character(-3))
         g2 = g_of(case_of(a), twisted=True)
         for x in (Fraction(7, 2), Fraction(22, 3)):
-            finite = GaussianRational(0)
-            p1 = GaussianRational(0)
-            p2 = GaussianRational(0)
-            for n in range(1, math.floor(x) + 1):
-                fp = frac_part(x / n)
-                finite = finite + as_gaussian(a.value(n)) * fp * (fp - 1)
-                p1 = p1 + as_gaussian(a.value(n)) / n
-                p2 = p2 + as_gaussian(a.value(n)) / (n * n)
+            ns = range(1, math.floor(x) + 1)
+            finite = weighted_sum((a.value(n), frac_part(x / n) * (frac_part(x / n) - 1))
+                                  for n in ns)
+            p1 = weighted_sum((a.value(n), Fraction(1, n)) for n in ns)
+            p2 = weighted_sum((a.value(n), Fraction(1, n * n)) for n in ns)
             expect = (ConstLinear(finite)
                       + (A2(1) - ConstLinear(p2)) * (x * x)
                       - (A1(1) - ConstLinear(p1)) * x)
@@ -122,15 +119,12 @@ class TestFracsquareListPath:
         g = g_of(case_of(a, X), twisted)
         for k in range(1, 3 * X + 1):
             x = Fraction(k, 3)
-            finite = GaussianRational(0)
-            p1 = GaussianRational(0)
-            p2 = GaussianRational(0)
-            for n in range(1, math.floor(x) + 1):
-                fp = frac_part(x / n)
-                v = as_gaussian(a.value(n))
-                finite = finite + v * fp * (fp - 1 if twisted else fp)
-                p1 = p1 + v / n
-                p2 = p2 + v / (n * n)
+            ns = range(1, math.floor(x) + 1)
+            finite = weighted_sum(
+                (a.value(n), frac_part(x / n) * (frac_part(x / n) - (1 if twisted else 0)))
+                for n in ns)
+            p1 = weighted_sum((a.value(n), Fraction(1, n)) for n in ns)
+            p2 = weighted_sum((a.value(n), Fraction(1, n * n)) for n in ns)
             # the tail n > x has {x/n} = x/n
             expect = ConstLinear(finite) + (A2(1) - ConstLinear(p2)) * (x * x)
             if twisted:
@@ -162,14 +156,10 @@ class TestSawtoothSeries:
         a = twist(mobius_sieve(30), kronecker_character(-3))
         f = sawtooth_series(kronecker_character(-3), 30)
         for x in (6, 12, 17):
-            finite = GaussianRational(0)
-            p1 = GaussianRational(0)
-            p2 = GaussianRational(0)
-            for n in range(1, x + 1):
-                s = sawtooth_oracle(Fraction(x, n))
-                finite = finite + as_gaussian(a.value(n)) * s / n
-                p1 = p1 + as_gaussian(a.value(n)) / n
-                p2 = p2 + as_gaussian(a.value(n)) / (n * n)
+            ns = range(1, x + 1)
+            finite = weighted_sum((a.value(n), sawtooth_oracle(Fraction(x, n)) / n) for n in ns)
+            p1 = weighted_sum((a.value(n), Fraction(1, n)) for n in ns)
+            p2 = weighted_sum((a.value(n), Fraction(1, n * n)) for n in ns)
             expect = (ConstLinear(finite)
                       + (A1(1) - ConstLinear(p1)) * Fraction(1, 2)
                       - (A2(1) - ConstLinear(p2)) * x)

@@ -1,6 +1,7 @@
 """Gaussian rationals, affine forms and their text format."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import RefConstLinear
 from errlab.decomposition import build_fracsquare_series
 from errlab.errors import FormatError
 from errlab.exactnum import ConstLinear, GaussianRational
+from errlab.piecewise import PiecewiseLaurent
 from errlab.sequences import kronecker_character, mobius_sieve, twist
 from errlab.volterra import (build_error_term, build_fracpart_series, make_case,
                              resolvent_function)
@@ -27,10 +29,12 @@ big_fractions = st.builds(lambda n, k: Fraction(n, LCM_700 // k),
 rationals = st.one_of(st.integers(-30, 30), fractions, big_fractions)
 real_gaussians = st.builds(GaussianRational, rationals)
 complex_gaussians = st.builds(GaussianRational, rationals, rationals.filter(bool))
+# the operands of * and /: ints, Fractions and ConstLinear scalars, real or not
 scalars = st.one_of(st.integers(-30, 30), fractions, big_fractions,
-                    real_gaussians, complex_gaussians)
-coefficients = st.one_of(st.just(0), scalars)
-OPS = ("add", "sub", "neg", "mul", "rmul", "mul_form", "div")
+                    st.builds(ConstLinear, real_gaussians),
+                    st.builds(ConstLinear, complex_gaussians))
+coefficients = st.one_of(st.just(0), scalars, real_gaussians, complex_gaussians)
+OPS = ("add", "sub", "neg", "mul", "rmul", "mul_form", "div", "add_rational")
 # (a2, a1) pairs for numeric(): float and complex constants
 NUMERIC_AT = ((6 / math.pi ** 2, 0.0), (complex(0.5, 0.25), -1.25))
 
@@ -46,18 +50,20 @@ class TestGaussianRational:
         with pytest.raises(TypeError):
             GaussianRational(0.5)
 
-    @given(gaussians, gaussians)
-    def test_field_ops_roundtrip(self, a, b):
-        assert a + b - b == a
-        if not b.is_zero():
-            assert (a * b) / b == a
-
-    def test_division(self):
-        i = GaussianRational(0, 1)
-        assert 1 / i == -i
-        assert GaussianRational(1, 1) / GaussianRational(1, -1) == i
-        with pytest.raises(ZeroDivisionError):
-            GaussianRational(1) / GaussianRational(0)
+    def test_value_type_has_no_arithmetic(self):
+        # ConstLinear(z) does the arithmetic of a Gaussian rational z
+        for op in ("abs2", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__",
+                   "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            assert op not in vars(GaussianRational), op
+        z, form = GaussianRational(1), ConstLinear(1)
+        for apply in (lambda: z + 1, lambda: 1 - z, lambda: z * z, lambda: -z,
+                      lambda: form + z, lambda: z + form, lambda: form * z,
+                      lambda: z * form, lambda: form / z):
+            with pytest.raises(TypeError):
+                apply()
+        # a Gaussian rational equals an int or a Fraction, never a form
+        assert z == 1 and GaussianRational(Fraction(1, 2)) == Fraction(1, 2)
+        assert z != form and form != z and hash(z) != hash(form)
 
     @given(gaussians)
     def test_text_roundtrip(self, z):
@@ -84,7 +90,22 @@ class TestConstLinear:
         i = GaussianRational(0, 1)
         u2 = ConstLinear(1, 0, 0)
         v2 = ConstLinear(0, 0, 1)
-        assert u2 * i + v2 * i == ConstLinear(i, 0, i)
+        assert u2 * ConstLinear(i) + v2 * ConstLinear(i) == ConstLinear(i, 0, i)
+
+    def test_rationals_on_either_side_of_a_sum(self):
+        u = ConstLinear(Fraction(1, 2), 1, 0)
+        assert 0 + u == u + 0 == u - 0 == u
+        assert 1 - u == ConstLinear(Fraction(1, 2), -1, 0)
+        assert u - Fraction(1, 2) == ConstLinear.a2(1)
+        assert sum([u, u, ConstLinear.a1(1)]) == ConstLinear(1, 2, 1)
+
+    def test_scalar_form_as_coefficient(self):
+        z = ConstLinear(GaussianRational(Fraction(1, 3), -2))
+        assert ConstLinear(z) == z
+        assert ConstLinear(1, z, z) == ConstLinear(1, GaussianRational(Fraction(1, 3), -2),
+                                                   GaussianRational(Fraction(1, 3), -2))
+        with pytest.raises(ValueError):
+            ConstLinear(ConstLinear.a2(1))
 
     def test_is_zero_examples(self):
         assert ConstLinear(0, 0, 0).is_zero()
@@ -99,6 +120,7 @@ class TestConstLinear:
 
     @given(forms, gaussians, gaussians)
     def test_combine_linearity(self, u, s, t):
+        s, t = ConstLinear(s), ConstLinear(t)
         assert u * s + u * t == u * (s + t)
 
     def test_numeric_examples(self):
@@ -123,6 +145,10 @@ class TestConstLinear:
         # scalar factors stay legal from either side
         assert a2 * ConstLinear.scalar(2) == ConstLinear.a2(2)
         assert ConstLinear.scalar(2) * a2 == ConstLinear.a2(2)
+        # a divisor must be a scalar too
+        assert a2 / ConstLinear.scalar(Fraction(1, 2)) == ConstLinear.a2(2)
+        with pytest.raises(ValueError):
+            ConstLinear.scalar(1) / a2
 
     @given(forms)
     def test_text_roundtrip(self, v):
@@ -176,6 +202,11 @@ class TestFlatKernel:
                 assert new + v == u
             elif op == "neg":
                 new, ref = -u, -ru
+            elif op == "add_rational":
+                r = data.draw(rationals, label="rational")
+                side = data.draw(st.sampled_from(("u+r", "r+u", "u-r", "r-u")), label="side")
+                new, ref = {"u+r": lambda: (u + r, ru + r), "r+u": lambda: (r + u, r + ru),
+                            "u-r": lambda: (u - r, ru - r), "r-u": lambda: (r - u, r - ru)}[side]()
             elif op == "mul":
                 new, ref = u * s, ru * s
             elif op == "rmul":
@@ -189,7 +220,7 @@ class TestFlatKernel:
                     continue
                 new, ref = u * v, ru * rv
             else:
-                if not s:
+                if s.is_zero() if isinstance(s, ConstLinear) else not s:
                     with pytest.raises(ZeroDivisionError):
                         u / s
                     with pytest.raises(ZeroDivisionError):
@@ -203,7 +234,7 @@ class TestFlatKernel:
                 assert (new == w) == (ref == rw)
             pool.append((new, ref))
 
-    @pytest.mark.parametrize("zero", [0, Fraction(0), GaussianRational(0)])
+    @pytest.mark.parametrize("zero", [0, Fraction(0), ConstLinear.zero()])
     def test_zero_divisor(self, zero):
         for v in (ConstLinear(1, Fraction(1, LCM_700), 0), RefConstLinear(1, 2, 3),
                   ConstLinear.zero()):
@@ -253,3 +284,40 @@ class TestFlatKernel:
         consts += E._prefix(-2)[0]
         assert len(consts) > 10000
         assert max(c._d.bit_length() for c in consts) <= limit
+
+
+def _with_digit_limit(limit, f):
+    """f() with sys.get_int_max_str_digits() set to limit, restored after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return f()
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestLongIntegers:
+    """Text of ints longer than the 4,300 digits str() writes by default,
+    such as the lcm(1..X) denominators of piece constants at X = 10^4."""
+
+    def test_text_past_the_digit_limit(self):
+        den = 10 ** 5000 + 7
+        z = GaussianRational(Fraction(-(10 ** 4999) - 1, den), Fraction(1, 3))
+        v = ConstLinear(z, Fraction(2, den), GaussianRational(Fraction(-1, 3), Fraction(5, den)))
+
+        def texts():
+            return v.to_text(), z.to_text(), repr(z), str(v)
+
+        limited = _with_digit_limit(4300, texts)
+        assert limited == _with_digit_limit(0, texts)
+        assert len(limited[0]) > 3 * 5000
+        # reading keeps the limit, which guards outside input
+        with pytest.raises(FormatError):
+            _with_digit_limit(4300, lambda: ConstLinear.from_text(limited[0]))
+
+    def test_dump_at_x_10000(self):
+        h = build_fracpart_series(make_case(mobius_sieve(10 ** 4), 10 ** 4))
+        text = _with_digit_limit(4300, h.dumps)
+        assert text.count("\n") == 10 ** 4 + 2
+        with pytest.raises(FormatError):
+            _with_digit_limit(4300, lambda: PiecewiseLaurent.loads(text))

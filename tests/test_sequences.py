@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (divisor_sum_oracle, floor_identity_oracle, mobius_oracle,
+from conftest import (divisor_sum_oracle, floor_identity_oracle, gaussian, mobius_oracle,
                       mobius_per_prime_sieve, quadratic_residue_character, totient_oracle,
                       unit_divisor_sum_oracle)
 from errlab.errors import (CapacityError, DomainError, FormatError, PrecisionError,
                            UncertifiableSeriesError)
-from errlab.exactnum import GaussianRational, as_gaussian
+from errlab.exactnum import GaussianRational
 from errlab.sequences import (_A2_CHUNK, _A2_HALF, _SIEVE_BLOCK, _WHEEL, MAX_SIEVE,
                               ArithSequence, CharacterSpec, _a2_bins, _divisor_pass,
                               _partial_a2, convolve_id, floor_sum,
@@ -243,7 +243,7 @@ class TestTwistAndConvolution:
         b = convolve_id(a)
         assert b.value(5) == 6  # 5 * (1 - chi(5)/5) with chi(5) = -1
         for n in range(1, 31):
-            assert as_gaussian(b.value(n)) == divisor_sum_oracle(a, n)
+            assert gaussian(b.value(n)) == divisor_sum_oracle(a, n)
 
     def test_non_integer_array_rejected(self):
         with pytest.raises(TypeError):
@@ -255,7 +255,7 @@ class TestTwistAndConvolution:
     def test_convolution_generic_values(self):
         a = ArithSequence("z", [GaussianRational(1, 1), Fraction(1, 2), 0, 1])
         b = convolve_id(a)
-        assert as_gaussian(b.value(4)) == divisor_sum_oracle(a, 4)
+        assert gaussian(b.value(4)) == divisor_sum_oracle(a, 4)
 
 
 def _int_backed(name, N):
@@ -346,12 +346,12 @@ class TestIntArrayPaths:
         assert b.N == b_list.N == N
         for n in range(1, N + 1):
             assert b.value(n) == b_list.value(n)
-            assert as_gaussian(b.value(n)) == divisor_sum_oracle(seq, n)
+            assert gaussian(b.value(n)) == divisor_sum_oracle(seq, n)
 
         u, u_list = _divisor_pass(seq, _ones(N)), _divisor_pass(listed, _ones(N))
         for n in range(1, N + 1):
             assert u[n] == u_list[n]
-            assert as_gaussian(u[n]) == unit_divisor_sum_oracle(seq, n)
+            assert gaussian(u[n]) == unit_divisor_sum_oracle(seq, n)
 
     def test_int64_overflow_takes_python_ints(self):
         arr = np.array([0, 2 ** 63 - 1, 1])
@@ -659,7 +659,7 @@ class TestCsv:
         assert pair is None
         assert back.N == 4
         for n in range(1, 5):
-            assert as_gaussian(back.value(n)) == as_gaussian(a.value(n))
+            assert gaussian(back.value(n)) == gaussian(a.value(n))
 
     def test_pair_layout(self, tmp_path):
         path = tmp_path / "pair.csv"

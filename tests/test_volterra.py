@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import divisor_sum_oracle, fracpart_series_finite, partial_quadratic_sum
+from conftest import (divisor_sum_oracle, floor_identity_oracle, fracpart_series_finite,
+                      gaussian, mixed_file_text, mixed_file_values, partial_quadratic_sum,
+                      weighted_sum)
 from errlab.errors import DomainError, LogCaseError
-from errlab.exactnum import ConstLinear, GaussianRational, as_gaussian
+from errlab.exactnum import ConstLinear, GaussianRational
 from errlab.piecewise import PiecewiseLaurent, Side, monomial
-from errlab.sequences import (ArithSequence, convolve_id, kronecker_character,
-                              mobius_sieve, twist)
+from errlab.sequences import (ArithSequence, convolve_id, floor_sum, kronecker_character,
+                              mobius_sieve, numeric_constants, read_sequence_csv, summatory,
+                              summatory_via_floor_identity, twist)
 from errlab.volterra import (build_error_term, build_fracpart_series, make_case,
                              remainder_integral_residual, residual, resolvent_function,
                              solution_family)
@@ -52,6 +55,74 @@ def complex_file_sequence(n=36):
     vals = [GaussianRational(Fraction((-1) ** k, k), Fraction(1, k + 2))
             for k in range(1, n + 1)]
     return ArithSequence("zfile", vals, magnitude_bound=Fraction(2))
+
+
+def mixed_file_sequence(n=36):
+    # ints, Fractions and Gaussian rationals in one sequence, |a| <= 2
+    return ArithSequence("mixed", mixed_file_values(n), magnitude_bound=Fraction(2))
+
+
+class TestMixedFileSequence:
+    """A sequence holding ints, Fractions and complex values, through every
+    sequence operation, against the (re, im)-pair oracles."""
+
+    X_GRID = [Fraction(k, 4) for k in range(0, 4 * 36 + 1, 3)]
+
+    def test_file_holds_the_same_values(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(mixed_file_text())
+        a, b = read_sequence_csv(path)
+        assert b is None and a.N == 36
+        assert [gaussian(a.value(n)) for n in range(1, 37)] == [
+            gaussian(v) for v in mixed_file_values()]
+
+    def test_convolution_prefix_sums_and_summatory(self):
+        a = mixed_file_sequence()
+        b = convolve_id(a)
+        for n in range(1, a.N + 1):
+            assert gaussian(b.value(n)) == divisor_sum_oracle(a, n), n
+        for k in range(a.N + 1):
+            prefix = weighted_sum((a.value(n), 1) for n in range(1, k + 1))
+            assert gaussian(a.prefix_sum(k)) == prefix, k
+        for x in self.X_GRID:
+            expect = weighted_sum((divisor_sum_oracle(a, n), 1)
+                                  for n in range(1, math.floor(x) + 1))
+            assert summatory(b, x) == expect, x
+
+    def test_floor_sums(self):
+        a = mixed_file_sequence()
+        for x in self.X_GRID:
+            assert summatory_via_floor_identity(a, x) == floor_identity_oracle(a, x), x
+            expect = weighted_sum((a.value(d), math.floor(x / d))
+                                  for d in range(1, math.floor(x) + 1))
+            assert floor_sum(a, x) == expect, x
+
+    def test_twist(self):
+        a, chi = mixed_file_sequence(), kronecker_character(5)
+        t = twist(a, chi)
+        assert t.magnitude_bound == a.magnitude_bound
+        for n in range(1, a.N + 1):
+            assert gaussian(t.value(n)) == weighted_sum([(a.value(n), chi.chi(n))]), n
+
+    def test_a2_bit_for_bit(self):
+        # the float a2 of the mixed sequence and of its twist, pinned bit for bit
+        a, chi = mixed_file_sequence(), kronecker_character(5)
+        got = [numeric_constants(s, chi, precision_target=0.1)[0] for s in (a, twist(a, chi))]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            ("-0x1.3e181fe2388b9p+1", "0x1.b2a3361767ba0p-5"),
+            ("-0x1.ac2223b23c6c0p+0", "-0x1.df0669b4c0349p-6")]
+
+    def test_spot_check(self):
+        # the convolution as Gaussian rationals passes the spot check; the
+        # same with b(5) off by one does not
+        a = mixed_file_sequence()
+        same = [divisor_sum_oracle(a, n) for n in range(1, a.N + 1)]
+        b = ArithSequence("same", same)
+        assert make_case(a, a.N, b=b).b is b
+        z = same[4]
+        same[4] = GaussianRational(z.re + 1, z.im)
+        with pytest.raises(ValueError):
+            make_case(a, a.N, b=ArithSequence("bad", same))
 
 
 class TestCaseAssembly:
@@ -112,9 +183,7 @@ class TestFracpartSeries:
                   complex_file_sequence(), fractions):
             h = build_fracpart_series(make_case(a, a.N))
             for k in range(0, a.N + 1, 7):
-                direct = GaussianRational(0)
-                for n in range(1, k + 1):
-                    direct = direct + as_gaussian(a.value(n)) * (k // n) / n
+                direct = weighted_sum((a.value(n), Fraction(k // n, n)) for n in range(1, k + 1))
                 assert h.pieces[k].get(0, ConstLinear.zero()) == ConstLinear(direct), (a, k)
 
     def test_closed_form_equals_series_plus_tail(self):
@@ -132,7 +201,7 @@ class TestFracpartSeries:
         h = build_fracpart_series(make_case(a, a.N))
         for n in range(1, a.N + 1):
             jump = h.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.LEFT)
-            assert jump == ConstLinear(divisor_sum_oracle(a, n) / n), n
+            assert jump == ConstLinear(weighted_sum([(divisor_sum_oracle(a, n), Fraction(1, n))])), n
 
 
 class TestSolutionFamily:
@@ -279,7 +348,7 @@ class TestHomogeneousFunction:
     def test_prebuilt_matches_fresh(self, A):
         G, zero = homogeneous(A, 12)
         for x in GRID_THIRDS:
-            expect = ConstLinear(as_gaussian(A) * x)
+            expect = ConstLinear(weighted_sum([(A, x)]))
             assert G.eval_at(x, Side.RIGHT) == expect, x
             assert G.integrate(x, "1/t") == expect, x
             got = residual(G, zero).eval_at(x)
@@ -364,10 +433,9 @@ class TestTruncationIdentity:
         partial = partial_quadratic_sum(mu, M)
         for x in (Fraction(5, 2), Fraction(17, 3), 25):
             x = Fraction(x)
-            truncated = GaussianRational(0)
-            for n in range(1, M + 1):
-                fp = x / n - (x.numerator // (n * x.denominator))
-                truncated = truncated - as_gaussian(mu.value(n)) * fp / n
+            truncated = weighted_sum(
+                (mu.value(n), -(x / n - x.numerator // (n * x.denominator)) / n)
+                for n in range(1, M + 1))
             diff = h.eval_at(x, Side.RIGHT) - ConstLinear(truncated)
             expect = (A2(-1) + ConstLinear(partial)) * x
             assert diff == expect, x
