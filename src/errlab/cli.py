@@ -15,13 +15,15 @@ import math
 import sys
 import traceback
 from fractions import Fraction
+from itertools import chain
+from typing import Iterator
 
 from .decomposition import (FROZEN_GROWTH_MAX, _grid_top, growth_max_ratio, split_at,
                             twisted_case, untwisted_case, verify_suites)
 from .errors import CapacityError, DomainError, FormatError, PrecisionError
 from .exactnum import GaussianRational, parse_rational
 from .piecewise import PiecewiseLaurent
-from .report import VerificationReport, write_csv_rows
+from .report import ReportRow, VerificationReport, write_csv_rows
 from .sequences import (MAX_SIEVE, ArithSequence, kronecker_character, mobius_constants,
                         mobius_sieve, read_character_csv, read_sequence_csv, twist,
                         write_character_csv, write_sequence_csv)
@@ -168,7 +170,9 @@ def _output(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _run_verify(args) -> VerificationReport:
+def _verify_rows(args) -> Iterator[ReportRow]:
+    """verify's rows as an iterator.  Every function they read is built
+    here, so an error that exits 2 is raised before -o is opened."""
     a, b_override, chi, X = _load_to_X(args)
     _grid_top(X, args.denom)   # before make_case, whose cost grows with X
     if args.b_file:
@@ -176,20 +180,25 @@ def _run_verify(args) -> VerificationReport:
         if extra is not None:
             raise FormatError("--b-file must use the n,value layout")
     case = make_case(a, X, b=b_override)
-    report = verify_suites(case, args.denom, args.A, _split_for(args.seq, case))
+    rows = verify_suites(case, args.denom, args.A, _split_for(args.seq, case))
     # the frozen maxima cover mu and mu_chi at D = -3
     key = args.seq if args.seq == "mu" else f"{args.seq}_{args.D}"
     if args.mode == "numeric" and key in FROZEN_GROWTH_MAX:
-        diff = growth_max_ratio(chi) - FROZEN_GROWTH_MAX[key]
-        report.add(f"growth[{key}]", 0, diff, exact_zero=(diff == 0.0))
-    return report
+        rows = chain(rows, _growth_row(key, chi))
+    return rows
+
+
+def _growth_row(key, chi):
+    diff = growth_max_ratio(chi) - FROZEN_GROWTH_MAX[key]
+    yield ReportRow(f"growth[{key}]", Fraction(0), diff, diff == 0.0)
 
 
 def cmd_verify(args) -> int:
-    report = _run_verify(args)
+    rows = _verify_rows(args)
+    report = VerificationReport()
     with _output(args) as fh:
-        report.write_csv(fh)
-    fail = report.first_failure()
+        report.write_csv(fh, rows)
+    fail = report.first_failure
     if fail is None:
         print(f"PASS: {len(report)} identities verified", file=sys.stderr)
         return EXIT_PASS

@@ -33,8 +33,9 @@ the built fractional-part series h, whose constants it reads rather than
 accumulates again.  split_at reads E, E_AR and E_AN at a point under the one
 breakpoint convention of both splits, and the growth statistic reads E.
 
-verify_suites runs every exact identity suite of a case on a grid from
-residual functions built once; ``verify`` and the acceptance gate read it.
+verify_suites builds the residual function of every exact identity suite of
+a case once, then yields the suites' rows on a grid one at a time;
+``verify`` and the acceptance gate read it.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, repeat
-from typing import Optional, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational
 from .piecewise import PiecewiseLaurent, Side, _combination, monomial
-from .report import VerificationReport
+from .report import ReportRow
 from .sequences import (ArithSequence, CharacterSpec, _divisor_pass, _partial_a2,
                         floor_sum, mobius_sieve, summatory,
                         summatory_via_floor_identity, twist)
@@ -189,8 +190,12 @@ def decompose(case: DecompositionCase, x):
     return e_ar, e_an, e - e_ar - e_an
 
 
+def _row(identity: str, x: Fraction, res) -> ReportRow:
+    return ReportRow(identity, x, res, res.is_zero())
+
+
 def trivial_character_relations(case: VolterraCase, plain: DecompositionCase,
-                                grid_denominator: int = 3) -> VerificationReport:
+                                grid_denominator: int = 3) -> Iterator[ReportRow]:
     """Exact checks that the all-ones twist collapses to the plain objects.
 
     ``case`` is a case of the Moebius function and ``plain`` its plain split
@@ -199,30 +204,32 @@ def trivial_character_relations(case: VolterraCase, plain: DecompositionCase,
     A1 = 0) is built here.  At every non-integer grid point of [1, case.X],
     (E_AR,triv - E_AR)/x = f(x, triv) - f(x) and
     2 (E_AN,triv - E_AN) = g(x, triv) - g(x) - 1 must vanish; alongside,
-    sum_{d<=x} mu(d) floor(x/d) = 1 on the same grid.
+    sum_{d<=x} mu(d) floor(x/d) = 1 on the same grid.  f and g are built by
+    this call; the rows are computed as the returned iterator is read.
     """
     X, a = case.X, case.a
     ar_triv, an_triv = _parts(case, True)
     f = _combination(X, (1, -1, ar_triv.pieces), (-1, -1, plain.arithmetic_part.pieces))
     g = _combination(X, (2, 0, an_triv.pieces), (-2, 0, plain.analytic_part.pieces))
-    report = VerificationReport()
-    for k in range(grid_denominator, math.floor(X * grid_denominator) + 1):
-        x = Fraction(k, grid_denominator)
-        if x.denominator == 1:
-            continue
-        report.add("trivial_f", x, f.eval_at(x))
-        report.add("trivial_g", x, g.eval_at(x))
-        # the row keeps floor_sum's GaussianRational, written as its repr
-        report.add("mertens_floor", x, (ConstLinear(floor_sum(a, x)) - 1).c1)
-    return report
+
+    def rows():
+        for k in range(grid_denominator, math.floor(X * grid_denominator) + 1):
+            x = Fraction(k, grid_denominator)
+            if x.denominator == 1:
+                continue
+            yield _row("trivial_f", x, f.eval_at(x))
+            yield _row("trivial_g", x, g.eval_at(x))
+            # the row keeps floor_sum's GaussianRational, written as its repr
+            yield _row("mertens_floor", x, (ConstLinear(floor_sum(a, x)) - 1).c1)
+    return rows()
 
 
 # ---------------------------------------------------------------------------
 # the identity suites
 # ---------------------------------------------------------------------------
 
-# verify_suites holds every grid point and report row at once, about 3 kB
-# per point, so it refuses a grid of more points than this
+# verify_suites keeps no row, so the cap bounds the run time, about 12 rows
+# a point, and the list of grid points it holds, about 100 bytes a point
 _MAX_GRID_POINTS = 100_000
 
 
@@ -240,67 +247,71 @@ def _grid_top(X, grid_denominator: int) -> int:
 
 def verify_suites(case: VolterraCase, grid_denominator: int,
                   A_list: Sequence[GaussianRational],
-                  split: Optional[DecompositionCase] = None) -> VerificationReport:
-    """Every exact identity suite of a case on the grid k/grid_denominator of
-    (0, X], in this order: ``volterra[A=..]`` per A in A_list,
-    ``remainder_integral``, ``homogeneous[A=..]`` (the solutions A t of the
-    zero right side) for A in {0, 1, i},
+                  split: Optional[DecompositionCase] = None) -> Iterator[ReportRow]:
+    """The rows of every exact identity suite of a case on the grid
+    k/grid_denominator of (0, X], in this order: ``volterra[A=..]`` per A in
+    A_list, ``remainder_integral``, ``homogeneous[A=..]`` (the solutions A t
+    of the zero right side) for A in {0, 1, i},
     ``resolvent``, ``uniqueness_surrogate``, ``floor_summatory``, then
     ``jump[n]`` and ``remainder_continuity[n]`` per integer n <= X.  A split
     (the plain or twisted case of the same sequence, or None) adds
     ``decomposition`` wherever decompose claims it, and the plain one the
     trivial-character relations on [1, min(X, 100)]; its ``error`` is the E
     of every suite.  ``case.b`` may be an override, which the suites expose.
+
+    Every residual function is built by this call, so a grid or builder
+    error is raised here; each row is computed as the returned iterator
+    reaches it, and none is kept.
     """
     X = case.X
     top = _grid_top(X, grid_denominator)
-    points = [Fraction(k, grid_denominator) for k in range(top + 1)]
-    grid = points[1:]
-    report = VerificationReport()
     E = build_error_term(case) if split is None else split.error
     h = build_fracpart_series(case)
-
-    def family(tag, f):
-        for x in grid:
-            report.add(tag, x, f.eval_at(x))
-
-    for A in A_list:
-        family(f"volterra[A={A.to_text()}]", residual(solution_family(h, A), E))
-    family("remainder_integral", remainder_integral_residual(E, h))
+    families = [(f"volterra[A={A.to_text()}]", residual(solution_family(h, A), E))
+                for A in A_list]
+    families.append(("remainder_integral", remainder_integral_residual(E, h)))
     zero = monomial(X, 0, 0)
-    for A in (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)):
-        family(f"homogeneous[A={A.to_text()}]", residual(solution_family(zero, A), zero))
+    families += [(f"homogeneous[A={A.to_text()}]", residual(solution_family(zero, A), zero))
+                 for A in (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1))]
     resolvent = resolvent_function(E, 0)
-    family("resolvent", residual(resolvent, E))
+    families.append(("resolvent", residual(resolvent, E)))
     # (F - t h)/t is one constant for every solution F
     slope = _combination(X, (1, -1, resolvent.pieces), (-1, 0, h.pieces))
-    c_ref = slope.eval_at(grid[0])
-    for x in grid:
-        report.add("uniqueness_surrogate", x, slope.eval_at(x) - c_ref)
-
-    for x in grid:
-        report.add("floor_summatory", x, ConstLinear(summatory_via_floor_identity(case.a, x))
-                   - ConstLinear(summatory(case.b, x)))
-
-    for n in range(1, math.floor(X) + 1):
-        jump = h.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.LEFT)
-        expect = ConstLinear(case.b.value(n)) / n
-        report.add(f"jump[{n}]", n, jump - expect)
-        r_right = E.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.RIGHT) * n
-        r_left = E.eval_at(n, Side.LEFT) - h.eval_at(n, Side.LEFT) * n
-        report.add(f"remainder_continuity[{n}]", n, r_right - r_left)
-
     if split is not None:
         start = _split_start(split)
         split_residual = _combination(X, (1, 0, E.pieces), (-1, 0, split.arithmetic_part.pieces),
                                       (-1, 0, split.analytic_part.pieces))
-        for x in points:
-            if x >= start:
-                report.add("decomposition", x, split_residual.eval_at(x, _side_for(split, x)))
-        if split.kind == "untwisted":
-            report.extend(trivial_character_relations(
-                replace(case, X=min(X, Fraction(100))), split, grid_denominator))
-    return report
+        trivial = (trivial_character_relations(replace(case, X=min(X, Fraction(100))), split,
+                                               grid_denominator)
+                   if split.kind == "untwisted" else ())
+
+    def rows():
+        grid = [Fraction(k, grid_denominator) for k in range(1, top + 1)]
+        for tag, f in families:
+            for x in grid:
+                yield _row(tag, x, f.eval_at(x))
+        c_ref = slope.eval_at(grid[0])
+        for x in grid:
+            yield _row("uniqueness_surrogate", x, slope.eval_at(x) - c_ref)
+
+        for x in grid:
+            yield _row("floor_summatory", x, ConstLinear(summatory_via_floor_identity(case.a, x))
+                       - ConstLinear(summatory(case.b, x)))
+
+        for n in range(1, math.floor(X) + 1):
+            jump = h.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.LEFT)
+            expect = ConstLinear(case.b.value(n)) / n
+            yield _row(f"jump[{n}]", Fraction(n), jump - expect)
+            r_right = E.eval_at(n, Side.RIGHT) - h.eval_at(n, Side.RIGHT) * n
+            r_left = E.eval_at(n, Side.LEFT) - h.eval_at(n, Side.LEFT) * n
+            yield _row(f"remainder_continuity[{n}]", Fraction(n), r_right - r_left)
+
+        if split is not None:
+            for x in chain([Fraction(0)], grid):
+                if x >= start:
+                    yield _row("decomposition", x, split_residual.eval_at(x, _side_for(split, x)))
+            yield from trivial
+    return rows()
 
 
 # ---------------------------------------------------------------------------

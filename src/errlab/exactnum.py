@@ -47,10 +47,45 @@ _new = object.__new__
 _F0 = Fraction(0)
 
 
+# Python's int() refuses a string past sys.get_int_max_str_digits() digits
+# (4,300 by default), which guards against the quadratic time of converting
+# a huge outside string.  errlab's own dumps hold lcm(1..X) denominators of
+# about 0.43 X digits, past that limit from X of about 9,900 on, so
+# parse_rational reads a longer integer in pieces of _DIGIT_CHUNK digits (the
+# least limit Python accepts) up to a bound of its own, more than twice the
+# 43,430 digits of lcm(1..10^5); 10^5 digits take about 0.2 s.
+_MAX_DIGITS = 100_000
+_DIGIT_CHUNK = 640
+_LONG_RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
+
+
+def _read_digits(digits: str) -> int:
+    """int(digits) of a string of decimal digits, read _DIGIT_CHUNK at a time."""
+    value = 0
+    for i in range(0, len(digits), _DIGIT_CHUNK):
+        chunk = digits[i:i + _DIGIT_CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p``, ``p/q`` or a plain decimal string into an exact Fraction."""
+    """Parse ``p``, ``p/q`` or a plain decimal string into an exact Fraction.
+
+    ``p`` and ``q`` may have up to _MAX_DIGITS digits each; a longer one
+    raises FormatError."""
+    text = text.strip()
+    m = _LONG_RATIONAL_RE.fullmatch(text) if len(text) > _DIGIT_CHUNK else None
+    if m is not None:
+        sign, p, q = m.groups()
+        longest = max(len(p), len(q or ""))
+        if longest > _MAX_DIGITS:
+            raise FormatError(f"an integer of {longest} digits, more than the "
+                              f"{_MAX_DIGITS} errlab reads")
+        num, den = _read_digits(p), _read_digits(q) if q else 1
+        if den:
+            return Fraction(-num if sign == "-" else num, den)
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"not a rational number: {text!r}") from exc
 

@@ -1,5 +1,5 @@
-"""Per-case verification records, and the CSV writer that takes a path or an
-open text stream.
+"""Verification rows, the sink that writes and tallies them, and the CSV
+writer that takes a path or an open text stream.
 
 The writer joins each row's fields with commas and ends the line with "\n".
 It never quotes: no field any command emits holds a comma, a double quote or
@@ -8,11 +8,11 @@ refused with UnquotableFieldError before its line is written."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import UnquotableFieldError
 from .exactnum import ConstLinear
@@ -20,8 +20,7 @@ from .exactnum import ConstLinear
 __all__ = ["ReportRow", "VerificationReport", "write_csv_rows"]
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     identity: str
     x: Fraction
     residual: Union[ConstLinear, float]
@@ -29,41 +28,34 @@ class ReportRow:
 
 
 class VerificationReport:
-    """Ordered list of (identity, x, residual, exact-zero) records."""
+    """Tallies of a stream of rows: the rows and the failing rows of each
+    family (an identity up to its first "["), and the first failing row.
+    No other row is kept, so a report's size does not grow with the grid."""
 
     def __init__(self):
-        self.rows: List[ReportRow] = []
+        self.counts: Counter = Counter()
+        self.failures: Counter = Counter()
+        self.first_failure: Optional[ReportRow] = None
 
-    def add(self, identity: str, x, residual, exact_zero: Optional[bool] = None) -> None:
-        if exact_zero is None:
-            exact_zero = residual.is_zero()
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        self.rows.append(ReportRow(identity, x, residual, exact_zero))
+    def add(self, row: ReportRow) -> None:
+        family = row.identity.partition("[")[0]
+        self.counts[family] += 1
+        if not row.exact_zero:
+            self.failures[family] += 1
+            if self.first_failure is None:
+                self.first_failure = row
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.rows.extend(other.rows)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.exact_zero for r in self.rows)
-
-    def first_failure(self) -> Optional[ReportRow]:
-        for r in self.rows:
-            if not r.exact_zero:
-                return r
-        return None
-
-    def write_csv(self, target) -> None:
-        """Write `identity,x,residual,exact_zero` rows; target is a path or
-        an open text stream."""
-        def row(r):
+    def write_csv(self, target, rows) -> None:
+        """Write an `identity,x,residual,exact_zero` line for each row as it
+        arrives, and tally it; target is a path or an open text stream."""
+        def line(r):
+            self.add(r)
             res = r.residual.to_text() if isinstance(r.residual, ConstLinear) else repr(r.residual)
             return [r.identity, str(r.x), res, "true" if r.exact_zero else "false"]
-        write_csv_rows(target, ["identity", "x", "residual", "exact_zero"], map(row, self.rows))
+        write_csv_rows(target, ["identity", "x", "residual", "exact_zero"], map(line, rows))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(self.counts.values())
 
 
 def _line(row) -> str:

@@ -5,6 +5,7 @@ import ast
 import csv
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 from conftest import mixed_file_text
 from errlab import cli, decomposition
 from errlab.cli import main
-from errlab.exactnum import GaussianRational
+from errlab.errors import LogCaseError
+from errlab.exactnum import ConstLinear, GaussianRational
 from errlab.piecewise import monomial
 from errlab.sequences import (convolve_id, mobius_sieve, read_sequence_csv, totient_sieve,
                               write_sequence_csv)
@@ -435,6 +437,48 @@ class TestVerify:
         assert code == cli.EXIT_INTERNAL == 4
         assert "error: internal: RuntimeError: boom" in err
 
+    def test_build_error_exits_2_before_any_output(self, monkeypatch, tmp_path, capsys):
+        # every residual function is built before -o is opened
+        def log_case(*args):
+            raise LogCaseError(3)
+        monkeypatch.setattr(decomposition, "resolvent_function", log_case)
+        out = tmp_path / "rep.csv"
+        code, _, err = run(["verify", "--seq", "mu", "--X", "10", "-o", str(out)], capsys)
+        assert code == 2
+        assert "error: integrand has a t^-1 term on the interval (3, 4)" in err
+        assert not out.exists()
+
+    def test_internal_error_mid_stream_keeps_the_rows_before_it(self, monkeypatch, tmp_path,
+                                                                capsys):
+        # rows are written as they are computed, as table and sieve write
+        # theirs, so a crash in the floor_summatory family leaves the seven
+        # families before it (15 points each) in the file
+        def crash(*args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(decomposition, "summatory_via_floor_identity", crash)
+        out = tmp_path / "rep.csv"
+        code, _, err = run(["verify", "--seq", "mu", "--X", "5", "-o", str(out)], capsys)
+        assert code == cli.EXIT_INTERNAL
+        assert "error: internal: RuntimeError: boom" in err
+        rows = rows_of(out)
+        assert len(rows) == 1 + 7 * 15 and rows[-1][0] == "uniqueness_surrogate"
+
+    def test_memory_does_not_grow_per_row(self, tmp_path, capsys):
+        # no row outlives its line: ten times the grid points costs at most
+        # 0.5 kB per added point (the grid's own Fractions), where keeping
+        # every row costs about 3 kB
+        peaks = []
+        for denom in (100, 1000):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(["verify", "--seq", "mu", "--X", "10", "--denom", str(denom),
+                                  "-o", str(tmp_path / "rep.csv")], capsys)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] - peaks[0] <= 500 * (10 * 1000 - 10 * 100)
+
 
 class TestTable:
     def test_row_count_and_modes(self, tmp_path, capsys):
@@ -529,6 +573,21 @@ class TestSolve:
             x = Fraction(row[0])
             expect = h.eval_at(x, Side.RIGHT) * x
             assert row[1] == expect.to_text(), x
+
+    def test_long_integer_dump(self, tmp_path, capsys):
+        # a coefficient with a 5,001-digit numerator, past the 4,300 digits
+        # Python parses by default, reads back as it was written
+        v = ConstLinear(Fraction(-(10 ** 5000) - 1, 7))
+        dump = tmp_path / "e.dump"
+        dump.write_text(monomial(3, 2, v).dumps())
+        out = tmp_path / "f.csv"
+        code, _, _ = run(["solve", "--input", str(dump), "--denom", "2", "-o", str(out)], capsys)
+        assert code == 0
+        rows = rows_of(out)[1:]
+        # F = E + t * integral E/t^2 = 2 v t^2
+        assert [r[1] for r in rows] == [(v * (2 * Fraction(k, 2) ** 2)).to_text()
+                                        for k in range(1, 7)]
+        assert all(r[3] == "true" for r in rows)
 
     def test_log_case_exits_2(self, tmp_path, capsys):
         dump = tmp_path / "e.dump"

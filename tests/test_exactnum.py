@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import RefConstLinear
 from errlab.decomposition import build_fracsquare_series
 from errlab.errors import FormatError
-from errlab.exactnum import ConstLinear, GaussianRational
+from errlab import exactnum
+from errlab.exactnum import ConstLinear, GaussianRational, parse_rational
 from errlab.piecewise import PiecewiseLaurent
 from errlab.sequences import kronecker_character, mobius_sieve, twist
 from errlab.volterra import (build_error_term, build_fracpart_series, make_case,
@@ -311,13 +312,24 @@ class TestLongIntegers:
         limited = _with_digit_limit(4300, texts)
         assert limited == _with_digit_limit(0, texts)
         assert len(limited[0]) > 3 * 5000
-        # reading keeps the limit, which guards outside input
-        with pytest.raises(FormatError):
-            _with_digit_limit(4300, lambda: ConstLinear.from_text(limited[0]))
+        # reading takes the long ints in pieces, under the same limit
+        assert _with_digit_limit(4300, lambda: ConstLinear.from_text(limited[0])) == v
+        assert _with_digit_limit(4300, lambda: GaussianRational.from_text(limited[1])) == z
+        f = PiecewiseLaurent(Fraction(5, 2), [{0: v}, {}, {2: v, -1: ConstLinear(z)}])
+        assert _with_digit_limit(4300, lambda: PiecewiseLaurent.loads(f.dumps())) == f
+
+    def test_digit_bound(self):
+        # errlab reads integers up to a bound of its own, and past it says
+        # how long the integer is without quoting it
+        top = "9" * exactnum._MAX_DIGITS
+        assert parse_rational(f"-{top}/7") == Fraction(-(10 ** exactnum._MAX_DIGITS - 1), 7)
+        for text in (f"1/{top}1", f"{top}1", f"{top}1/7+1/2*i"):
+            with pytest.raises(FormatError, match=f"{exactnum._MAX_DIGITS + 1} digits") as info:
+                GaussianRational.from_text(text)
+            assert len(str(info.value)) < 100
 
     def test_dump_at_x_10000(self):
         h = build_fracpart_series(make_case(mobius_sieve(10 ** 4), 10 ** 4))
         text = _with_digit_limit(4300, h.dumps)
         assert text.count("\n") == 10 ** 4 + 2
-        with pytest.raises(FormatError):
-            _with_digit_limit(4300, lambda: PiecewiseLaurent.loads(text))
+        assert _with_digit_limit(4300, lambda: PiecewiseLaurent.loads(text)) == h

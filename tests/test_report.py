@@ -1,4 +1,4 @@
-"""The CSV line writer against csv.writer, and the verification records."""
+"""The CSV line writer against csv.writer, and the verification report's tallies."""
 
 import csv
 import io
@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from errlab.errors import UnquotableFieldError
 from errlab.exactnum import ConstLinear
-from errlab.report import VerificationReport, write_csv_rows
+from errlab.report import ReportRow, VerificationReport, write_csv_rows
 
 QUOTED = ',"\r\n'
 # printable ASCII and tab, so that a file written in the locale's encoding
@@ -31,7 +31,8 @@ def csv_writer_text(header, body) -> str:
 
 
 @given(table=tables)
-@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_bytes_match_csv_writer(table, tmp_path):
     header, body = table
     expect = csv_writer_text(header, body)
@@ -78,11 +79,39 @@ def test_empty_line_raises(row):
     assert stream.getvalue() == "a,b\n1,2\n"
 
 
-def test_add_keeps_a_fraction():
+def test_add_tallies_rows():
     report = VerificationReport()
+    assert len(report) == 0 and report.first_failure is None
     x = Fraction(7, 3)
-    report.add("id", x, ConstLinear.zero())
-    report.add("id", 2, ConstLinear.scalar(1))
-    assert report.rows[0].x is x
-    assert type(report.rows[1].x) is Fraction and report.rows[1].x == 2
-    assert [r.exact_zero for r in report.rows] == [True, False]
+    first = ReportRow("jump[2]", x, ConstLinear.scalar(1), False)
+    for row in [ReportRow("jump[1]", Fraction(1), ConstLinear.zero(), True), first,
+                ReportRow("resolvent", Fraction(2), ConstLinear.scalar(2), False),
+                ReportRow("resolvent", x, ConstLinear.zero(), True)]:
+        report.add(row)
+    assert report.counts == {"jump": 2, "resolvent": 2}
+    assert report.failures == {"jump": 1, "resolvent": 1}
+    assert report.first_failure is first and len(report) == 4
+
+
+def test_write_csv_streams_and_tallies():
+    # each row's line is written before the next row is read
+    rows = [ReportRow("a", Fraction(1, 2), ConstLinear.zero(), True),
+            ReportRow("b[1]", Fraction(1), ConstLinear.scalar(-1), False),
+            ReportRow("growth[mu]", Fraction(0), 0.0, True)]
+    stream = io.StringIO()
+    seen = []
+
+    def feed():
+        for row in rows:
+            seen.append(stream.getvalue().count("\n"))
+            yield row
+
+    report = VerificationReport()
+    report.write_csv(stream, feed())
+    assert seen == [1, 2, 3]
+    assert stream.getvalue() == ("identity,x,residual,exact_zero\n"
+                                 f"a,1/2,{ConstLinear.zero().to_text()},true\n"
+                                 f"b[1],1,{ConstLinear.scalar(-1).to_text()},false\n"
+                                 "growth[mu],0,0.0,true\n")
+    assert report.counts == {"a": 1, "b": 1, "growth": 1}
+    assert report.first_failure is rows[1] and len(report) == 3
