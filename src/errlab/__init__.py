@@ -9,7 +9,7 @@ identity to a residual whose zero test is a coefficient comparison.
 
 from .errors import (CapacityError, DivergentAtZeroError, DomainError, FormatError,
                      LogCaseError, PrecisionError, UncertifiableSeriesError)
-from .exactnum import ConstLinear, GaussianRational, as_gaussian
+from .exactnum import ConstLinear, GaussianRational
 from .piecewise import PiecewiseLaurent, Side, monomial
 from .report import ReportRow, VerificationReport
 from .sequences import (ArithSequence, CharacterSpec, convolve_id, floor_sum,

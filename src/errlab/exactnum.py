@@ -36,7 +36,6 @@ from .errors import FormatError
 __all__ = [
     "GaussianRational",
     "ConstLinear",
-    "as_gaussian",
     "parse_rational",
 ]
 
@@ -44,7 +43,6 @@ _RAT = r"[+-]?\d+(?:/\d+)?"
 _GAUSS_RE = re.compile(rf"^({_RAT})$|^({_RAT})\+({_RAT})\*i$")
 
 _new = object.__new__
-_F0 = Fraction(0)
 
 
 # Python's int() refuses a string past sys.get_int_max_str_digits() digits
@@ -127,10 +125,11 @@ class GaussianRational:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        other = as_gaussian(other, strict=False)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (Fraction, numbers.Integral)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -168,25 +167,6 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational('{self.to_text()}')"
-
-
-def as_gaussian(value, strict: bool = True):
-    """Coerce int/Fraction/GaussianRational to GaussianRational.
-
-    With ``strict=False`` returns None on unsupported types (for ``==``).
-    """
-    t = type(value)
-    if t is Fraction:
-        return _gauss(value, _F0)
-    if t is int:
-        return _gauss(Fraction(value), _F0)
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction, numbers.Integral)):
-        return GaussianRational(value)
-    if strict:
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
-    return None
 
 
 def _scalar_parts(value):

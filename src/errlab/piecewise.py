@@ -15,6 +15,7 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional
 
 from .errors import DivergentAtZeroError, DomainError, FormatError, LogCaseError
@@ -97,6 +98,7 @@ class PiecewiseLaurent:
             raise ValueError(f"need {_min_pieces(X)} pieces to cover [0, {X}]")
         self.X = X
         self.pieces = cleaned
+        # always empty; only bench/layers.py reads it, for prefix_hit_ratio
         self._int_cache = {}
 
     @property
@@ -155,38 +157,27 @@ class PiecewiseLaurent:
     # -- integration --------------------------------------------------------
 
     def _prefix(self, shift: int):
-        """The power-rule antiderivatives of f * t^shift, one per piece.
+        """Yield the power-rule antiderivative of f * t^shift on each piece.
 
-        Returns (cums, blocker, prims).  prims[k] maps exponents to the
-        coefficients of c/(m+1) t^(m+1) for each term c t^m of piece k, plus
-        the constant that makes it equal integral_0^t on [k, k+1]; cums[j] is
-        the integral over (0, j).  blocker = (piece index, exception) for the
-        first non-integrable piece, where prims and cums stop.
+        Piece k's map holds c/(m+1) at exponent m+1 for each term c t^m, plus
+        the constant that makes it equal integral_0^t on [k, k+1].  Raises on
+        reaching a piece that has none: LogCaseError for a t^-1 term,
+        DivergentAtZeroError for a lower exponent on the first piece.
         """
-        if shift in self._int_cache:
-            return self._int_cache[shift]
-        cums = [ConstLinear.zero()]
-        prims: List[Dict[int, ConstLinear]] = []
-        blocker = None
+        total = ConstLinear.zero()  # the integral over (0, k)
         for k, piece in enumerate(self.pieces):
             prim = {}
             for e, c in sorted(piece.items()):
                 m = e + shift
                 if m == -1:
-                    blocker = (k, LogCaseError(k))
-                    break
+                    raise LogCaseError(k)
                 if k == 0 and m < -1:
-                    blocker = (k, DivergentAtZeroError(m))
-                    break
+                    raise DivergentAtZeroError(m)
                 prim[m + 1] = c / (m + 1)
-            if blocker:
-                break
             # m + 1 == 0 is the log case, so exponent 0 holds only the constant
-            prim[0] = cums[k] - _value(prim, k, 1) if k else cums[k]
-            prims.append(prim)
-            cums.append(_value(prim, k + 1, 1))
-        self._int_cache[shift] = (cums, blocker, prims)
-        return cums, blocker, prims
+            prim[0] = total - _value(prim, k, 1) if k else total
+            yield prim
+            total = _value(prim, k + 1, 1)
 
     def integrate(self, x, weight="1") -> ConstLinear:
         """Exact integral of f(t) * w(t) over (0, x), w in {1, 1/t, 1/t^2}.
@@ -194,24 +185,18 @@ class PiecewiseLaurent:
         Improper at 0+: the weighted integrand must have exponents >= 0 on the
         first interval.  A t^-1 term on any interval meeting (0, x) raises
         LogCaseError; lower exponents on the first interval raise
-        DivergentAtZeroError.
+        DivergentAtZeroError.  Costs one antiderivative per piece below x.
         """
         if weight not in _WEIGHT_SHIFT:
             raise ValueError(f"weight must be one of 1, 1/t, 1/t^2, not {weight!r}")
-        shift = _WEIGHT_SHIFT[weight]
         if type(x) is not Fraction:
             x = Fraction(x)
         p, s = self._in_domain(x, "integration endpoint")
         if not p:
             return ConstLinear.zero()
-        cums, blocker, prims = self._prefix(shift)
         # x lies in the piece (k, k+1], k = ceil(x) - 1
         k = (p - 1) // s
-        if blocker is not None and blocker[0] <= k:
-            raise blocker[1]
-        if s == 1:
-            return cums[k + 1]
-        return _value(prims[k], p, s)
+        return _value(next(islice(self._prefix(_WEIGHT_SHIFT[weight]), k, None)), p, s)
 
     # -- text dump ----------------------------------------------------------
 
@@ -270,8 +255,9 @@ def _combination(X, *terms) -> PiecewiseLaurent:
     """The sum of c * t^m * g over the terms (c, m, g) on [0, X], piece by piece.
 
     Each g is an iterable of exponent -> coefficient maps, such as a
-    function's pieces or the antiderivatives of its _prefix, and c an int or
-    a Fraction.  The pieces run to the end of the shortest g.
+    function's pieces or the antiderivatives its _prefix yields, and c an int
+    or a Fraction.  The pieces run to the end of the shortest g, and no g
+    after the first exhausted one is drawn from again.
     """
     pieces = []
     for group in zip(*(g for _, _, g in terms)):

@@ -29,7 +29,7 @@ import numpy as np
 from . import lfunc
 from .errors import (CapacityError, DomainError, FormatError, PrecisionError,
                      UncertifiableSeriesError)
-from .exactnum import ConstLinear, GaussianRational, as_gaussian
+from .exactnum import ConstLinear, GaussianRational
 from .report import write_csv_rows
 
 __all__ = [
@@ -383,7 +383,7 @@ def convolve_id(a: ArithSequence) -> ArithSequence:
 
 def _gaussian(value: Value) -> GaussianRational:
     """A sequence value or sum as a GaussianRational."""
-    return value.c1 if isinstance(value, ConstLinear) else as_gaussian(value)
+    return ConstLinear(value).c1
 
 
 def summatory(b: ArithSequence, x) -> GaussianRational:

@@ -119,26 +119,18 @@ def solution_family(h: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
     return _combination(h.X, (1, 1, h.pieces), (1, 1, repeat({0: A})))
 
 
-def _prims(f: PiecewiseLaurent, shift: int):
-    """The antiderivatives of f(t) t^shift from f._prefix, one per piece;
-    raises the error of a piece that has none."""
-    _, blocker, prims = f._prefix(shift)
-    if blocker is not None:
-        raise blocker[1]
-    return prims
-
-
 def residual(F: PiecewiseLaurent, E: PiecewiseLaurent) -> PiecewiseLaurent:
     """F(t) - integral_0^t F(s)/s ds - E(t) as a piecewise function, exact.
 
     Built piece by piece on [0, min(F.X, E.X)], so a piece is empty exactly
     when the integral equation holds on all of it.  Its POINT values are
     right limits at interior breakpoints, matching the right-continuous
-    error term.  Raises where F(t)/t has no antiderivative (LogCaseError,
-    DivergentAtZeroError).
+    error term.  Raises where F(t)/t has no antiderivative on that domain
+    (LogCaseError, DivergentAtZeroError); E.pieces precedes the
+    antiderivatives so that none is computed past its end.
     """
-    return _combination(min(F.X, E.X), (1, 0, F.pieces), (-1, 0, _prims(F, -1)),
-                        (-1, 0, E.pieces))
+    return _combination(min(F.X, E.X), (1, 0, F.pieces), (-1, 0, E.pieces),
+                        (-1, 0, F._prefix(-1)))
 
 
 def remainder_integral_residual(E: PiecewiseLaurent, h: PiecewiseLaurent) -> PiecewiseLaurent:
@@ -148,7 +140,7 @@ def remainder_integral_residual(E: PiecewiseLaurent, h: PiecewiseLaurent) -> Pie
     Returns the piecewise function Er(t) - t h(t) + integral_0^t h, which is
     empty on every piece; its value at 0 is zero by the convention Er(0) = 0.
     """
-    return _combination(min(E.X, h.X), (1, 0, E.pieces), (-1, 1, h.pieces), (1, 0, _prims(h, 0)))
+    return _combination(min(E.X, h.X), (1, 0, E.pieces), (-1, 1, h.pieces), (1, 0, h._prefix(0)))
 
 
 def resolvent_function(E: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
@@ -158,4 +150,4 @@ def resolvent_function(E: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
     the admissibility condition for the inversion formula.
     """
     A = ConstLinear(A)
-    return _combination(E.X, (1, 0, E.pieces), (1, 1, _prims(E, -2)), (1, 1, repeat({0: A})))
+    return _combination(E.X, (1, 0, E.pieces), (1, 1, E._prefix(-2)), (1, 1, repeat({0: A})))

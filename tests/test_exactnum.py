@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +66,14 @@ class TestGaussianRational:
         # a Gaussian rational equals an int or a Fraction, never a form
         assert z == 1 and GaussianRational(Fraction(1, 2)) == Fraction(1, 2)
         assert z != form and form != z and hash(z) != hash(form)
+
+    def test_equality_with_exact_scalars_only(self):
+        z = GaussianRational(Fraction(3, 2), 1)
+        assert z != Fraction(3, 2) and GaussianRational(Fraction(3, 2)) == Fraction(3, 2)
+        assert GaussianRational(3) == np.int64(3) and GaussianRational(1) == True
+        for other in (1.5, "3/2", complex(1.5, 1), None):
+            assert z.__eq__(other) is NotImplemented
+            assert z != other
 
     @given(gaussians)
     def test_text_roundtrip(self, z):
@@ -282,7 +291,7 @@ class TestFlatKernel:
         h = build_fracpart_series(case)
         built = [E, h, build_fracsquare_series(case, h, twisted=True), resolvent_function(E)]
         consts = [c for f in built for piece in f.pieces for c in piece.values()]
-        consts += E._prefix(-2)[0]
+        consts += [c for prim in E._prefix(-2) for c in prim.values()]
         assert len(consts) > 10000
         assert max(c._d.bit_length() for c in consts) <= limit
 

@@ -1,6 +1,9 @@
 """Error terms, solution families and exact residuals of the integral equation."""
 
+import gc
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -294,6 +297,39 @@ class TestResidual:
         F = solution_family(build_fracpart_series(case))
         assert residual(F, E).eval_at(10).is_zero()
         assert not residual(F, E).eval_at(20).is_zero()
+
+    def test_unequal_domains_stop_at_the_shorter(self):
+        # F(t)/t has a t^-1 term only on (2, 3), past [0, min(F.X, E.X)] = [0, 2]
+        F = PiecewiseLaurent(3, [{1: 1}, {1: 1}, {0: 1}])
+        E = PiecewiseLaurent(2, [{}, {}])
+        R = residual(F, E)
+        assert (R.X, R.pieces) == (2, [{}, {}])
+        # inside the domain a t^-1 term still raises, with the same message
+        inside = PiecewiseLaurent(3, [{1: 1}, {0: 1}, {1: 1}])
+        with pytest.raises(LogCaseError, match=re.escape(str(LogCaseError(1)))):
+            residual(inside, E)
+
+
+class TestBuildMemory:
+    def test_builds_retain_no_antiderivatives(self):
+        # the antiderivatives a builder reads are consumed as they are made,
+        # so nothing but its result outlives it; caching them kept 2.9 MB
+        case = make_case(mobius_sieve(1000), 1000)
+        E = build_error_term(case)
+        h = build_fracpart_series(case)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            R = remainder_integral_residual(E, h)
+            F = resolvent_function(E)
+            S = residual(F, E)
+            assert R.pieces == S.pieces == [{}] * 1001
+            del R, F, S
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 500_000 and peak < 2_500_000, (retained, peak)
 
 
 class TestRemainderIntegral:
