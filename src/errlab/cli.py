@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterator
 
-from .decomposition import (FROZEN_GROWTH_MAX, _grid_top, growth_max_ratio, split_at,
+from .decomposition import (FROZEN_GROWTH_MAX, _grid_top, _split_grid, growth_max_ratio,
                             twisted_case, untwisted_case, verify_suites)
 from .errors import CapacityError, DomainError, FormatError, PrecisionError
 from .exactnum import GaussianRational, parse_rational
@@ -227,24 +227,23 @@ def cmd_table(args) -> int:
     a, _, chi, X = _load_to_X(args)
     numeric = args.mode == "numeric"
     if numeric:
-        # before the split is built, so that the sieve's peak memory does not
-        # stack on the split's pieces
+        # before the split's first piece is made, so that the sieve's peak
+        # memory does not stack on the pieces
         a2, a1, (b2, b1) = _constants_for_table(args, chi, X)
-    dc = _split_for(args.seq, make_case(a, X))
+    values = _split_grid(make_case(a, X), args.seq == "mu_chi", args.denom)
 
-    def row(k):
-        x = Fraction(k, args.denom)
-        values = split_at(dc, x)
+    def row(item):
+        x, split = item
         if numeric:
-            return [repr(float(x))] + [repr(v.numeric(a2, a1 or 0.0).real) for v in values]
-        return [str(x)] + [v.to_text() for v in values]
+            return [repr(float(x))] + [repr(v.numeric(a2, a1 or 0.0).real) for v in split]
+        return [str(x)] + [v.to_text() for v in split]
 
     with _output(args) as fh:
         if numeric:
             fh.write(f"# a2 = {a2.real!r} +/- {b2!r}\n")
             fh.write(f"# a1 = {a1.real!r} +/- {b1!r}\n")
         write_csv_rows(fh, ["x", "E", "E_AR", "E_AN"],
-                       map(row, range(math.floor(X * args.denom) + 1)))
+                       map(row, values))
     return EXIT_PASS
 
 

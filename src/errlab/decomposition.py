@@ -32,6 +32,9 @@ the error term and its ``b_true`` feeds the series.  g is a piece map of
 the built fractional-part series h, whose constants it reads rather than
 accumulates again.  split_at reads E, E_AR and E_AN at a point under the one
 breakpoint convention of both splits, and the growth statistic reads E.
+``table`` builds no split: _split_pieces yields each piece of E, E_AR and
+E_AN from the builders' generators, and _split_grid reads them on a grid in
+lockstep under the same convention, holding two pieces of each part.
 
 verify_suites builds the residual function of every exact identity suite of
 a case once, then yields the suites' rows on a grid one at a time;
@@ -43,17 +46,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from functools import partial
+from itertools import accumulate, chain, repeat, tee
 from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError
 from .exactnum import ConstLinear, GaussianRational
-from .piecewise import PiecewiseLaurent, Side, _combination, monomial
+from .piecewise import PiecewiseLaurent, Side, _combination, _combine, _walk, monomial
 from .report import ReportRow
 from .sequences import (ArithSequence, CharacterSpec, _divisor_pass, _partial_a2,
                         floor_sum, mobius_sieve, summatory,
                         summatory_via_floor_identity, twist)
-from .volterra import (VolterraCase, build_error_term, build_fracpart_series, make_case,
+from .volterra import (VolterraCase, _error_pieces, _fracpart_pieces, _solution_pieces,
+                       build_error_term, build_fracpart_series, make_case,
                        remainder_integral_residual, residual, resolvent_function,
                        solution_family)
 
@@ -98,18 +103,20 @@ def build_fracsquare_series(case: VolterraCase, h: PiecewiseLaurent,
     divisor sum sum_{d|m} a(d).  The twisted shape is continuous at
     integers; the plain one is right-continuous.
     """
+    return PiecewiseLaurent(case.X, _fracsquare_pieces(case, h.pieces, twisted))
+
+
+def _fracsquare_pieces(case: VolterraCase, h_pieces, twisted: bool) -> Iterator[dict]:
     quad = ConstLinear.a2(1)
     zero = ConstLinear.zero()
     a1_term = _a1_form(case.a) if twisted else zero
     if twisted:
         units = repeat(0)
     else:
-        units = accumulate(_divisor_pass(case.a, [1] * len(h.pieces)))
-    pieces = []
-    for k, (piece, U) in enumerate(zip(h.pieces, units)):
+        units = accumulate(_divisor_pass(case.a, [1] * (math.floor(case.X) + 1)))
+    for k, (piece, U) in enumerate(zip(h_pieces, units)):
         lin = piece.get(0, zero) * -2 - a1_term
-        pieces.append({2: quad, 1: lin, 0: ConstLinear(case.b_true.prefix_sum(k) * 2 - U)})
-    return PiecewiseLaurent(case.X, pieces)
+        yield {2: quad, 1: lin, 0: ConstLinear(case.b_true.prefix_sum(k) * 2 - U)}
 
 
 @dataclass(frozen=True)
@@ -122,16 +129,28 @@ class DecompositionCase:
     analytic_part: PiecewiseLaurent       # E_AN as a function
 
 
-def _parts(case: VolterraCase, twisted: bool):
-    """(E_AR, E_AN) on [0, X]: E_AR = solution_family(h, A), E_AN = g/2 + c,
-    with A = 0 and c = 1/2 in the plain shape, A = A1/2 and c = 0 in the
-    twisted one.  h and g die on return, before the caller builds E."""
-    h = build_fracpart_series(case)
+def _split_constants(case: VolterraCase, twisted: bool):
+    """(A, c) of a split, E_AR = solution_family(h, A) and E_AN = g/2 + c:
+    A = 0 and c = 1/2 in the plain shape, A = A1/2 and c = 0 in the twisted
+    one."""
     half = Fraction(1, 2)
-    c = ConstLinear.scalar(0 if twisted else half)
-    an = _combination(case.X, (half, 0, build_fracsquare_series(case, h, twisted).pieces),
-                      (1, 0, repeat({0: c})))
-    return solution_family(h, _a1_form(case.a) * half if twisted else 0), an
+    if twisted:
+        return _a1_form(case.a) * half, ConstLinear.zero()
+    return ConstLinear.zero(), ConstLinear.scalar(half)
+
+
+def _analytic_pieces(g_pieces, c: ConstLinear):
+    return _combine((Fraction(1, 2), 0, g_pieces), (1, 0, repeat({0: c})))
+
+
+def _parts(case: VolterraCase, twisted: bool):
+    """(E_AR, E_AN) on [0, X], built through the public builders.  h and g
+    die on return, before the caller builds E."""
+    h = build_fracpart_series(case)
+    A, c = _split_constants(case, twisted)
+    an = PiecewiseLaurent(case.X, _analytic_pieces(
+        build_fracsquare_series(case, h, twisted).pieces, c))
+    return solution_family(h, A), an
 
 
 def untwisted_case(case: VolterraCase) -> DecompositionCase:
@@ -146,11 +165,24 @@ def twisted_case(case: VolterraCase) -> DecompositionCase:
     return DecompositionCase("twisted", build_error_term(case), ar, an)
 
 
-def _side_for(case: DecompositionCase, x: Fraction) -> Side:
+def _split_pieces(case: VolterraCase, twisted: bool) -> Iterator[tuple]:
+    """Yield the split's pieces (E_k, E_AR_k, E_AN_k) for k = 0..floor(X), as
+    the builders' generators make them; _parts builds the same functions.
+
+    E_AR and E_AN read one stream of h's pieces through tee, so each piece
+    of h is made once and, drawn in lockstep, held for one step.
+    """
+    A, c = _split_constants(case, twisted)
+    h_ar, h_an = tee(_fracpart_pieces(case))
+    yield from zip(_error_pieces(case), _solution_pieces(h_ar, A),
+                   _analytic_pieces(_fracsquare_pieces(case, h_an, twisted), c))
+
+
+def _side_for(twisted: bool, x: Fraction) -> Side:
     """MIDPOINT at a positive integer of the twisted split, else POINT:
     every part of a split has floor(X) + 1 pieces, so POINT reads the right
     limit at each integer of [0, X]."""
-    if case.kind == "twisted" and x.denominator == 1 and x.numerator > 0:
+    if twisted and x.denominator == 1 and x.numerator > 0:
         return Side.MIDPOINT
     return Side.POINT
 
@@ -163,9 +195,17 @@ def split_at(case: DecompositionCase, x):
     """
     if type(x) is not Fraction:
         x = Fraction(x)
-    side = _side_for(case, x)
+    side = _side_for(case.kind == "twisted", x)
     return (case.error.eval_at(x, side), case.arithmetic_part.eval_at(x, side),
             case.analytic_part.eval_at(x, side))
+
+
+def _split_grid(case: VolterraCase, twisted: bool, grid_denominator: int):
+    """Yield (x, (E, E_AR, E_AN)) at x = k/grid_denominator for k = 0, 1, ..
+    up to X, the values split_at gives, from the split's pieces as they are
+    made: two pieces of each part are held at a time, and no function."""
+    return _walk(case.X, grid_denominator, _split_pieces(case, twisted),
+                 partial(_side_for, twisted))
 
 
 def _split_start(case: DecompositionCase) -> int:
@@ -307,9 +347,10 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
             yield _row(f"remainder_continuity[{n}]", Fraction(n), r_right - r_left)
 
         if split is not None:
+            twisted = split.kind == "twisted"
             for x in chain([Fraction(0)], grid):
                 if x >= start:
-                    yield _row("decomposition", x, split_residual.eval_at(x, _side_for(split, x)))
+                    yield _row("decomposition", x, split_residual.eval_at(x, _side_for(twisted, x)))
             yield from trivial
     return rows()
 

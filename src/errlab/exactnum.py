@@ -418,6 +418,9 @@ class ConstLinear:
                 + complex(n4 / d, n5 / d) * a1)
 
     def to_text(self) -> str:
+        if self._d == 1 and not any(self._n):
+            # the zero form, most of the residuals a verify writes
+            return "0/1 + 0/1*A2 + 0/1*A1"
         try:
             return self._text(str)
         except ValueError:   # as in GaussianRational.to_text

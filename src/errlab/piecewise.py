@@ -15,8 +15,8 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
-from typing import Dict, List, Optional
+from itertools import islice, repeat
+from typing import Dict, Iterator, List, Optional
 
 from .errors import DivergentAtZeroError, DomainError, FormatError, LogCaseError
 from .exactnum import ConstLinear, parse_rational
@@ -74,6 +74,43 @@ def _value(piece: Dict[int, ConstLinear], p: int, s: int) -> ConstLinear:
     return ConstLinear.zero() if total is None else total
 
 
+def _checked(piece) -> Dict[int, ConstLinear]:
+    """A piece as a function stores it: exponents in [EXP_MIN, EXP_MAX],
+    coefficients ConstLinear, zero coefficients dropped."""
+    cur: Dict[int, ConstLinear] = {}
+    for e, c in piece.items():
+        if not EXP_MIN <= e <= EXP_MAX:
+            raise ValueError(f"exponent {e} outside [{EXP_MIN}, {EXP_MAX}]")
+        if not isinstance(c, ConstLinear):
+            c = ConstLinear.scalar(c)
+        if not c.is_zero():
+            cur[e] = c
+    return cur
+
+
+def _at_integer(left, right, k: int, side: Side) -> ConstLinear:
+    """The value at the integer k from the pieces on (k-1, k) and (k, k+1).
+
+    left is unread at k = 0, and right is None past the last piece, where
+    POINT reads the last piece and RIGHT and MIDPOINT have no value.  A
+    MIDPOINT whose two limits agree is that limit, with no sum formed.
+    """
+    if not k:
+        if side in (Side.LEFT, Side.MIDPOINT):
+            raise DomainError("no left limit at 0")
+        return _value(right, 0, 1)
+    if side is Side.LEFT or (right is None and side is Side.POINT):
+        return _value(left, k, 1)
+    if right is None:
+        raise DomainError(f"no right limit at the domain end {k}")
+    value = _value(right, k, 1)
+    if side is Side.MIDPOINT:
+        before = _value(left, k, 1)
+        if before != value:
+            value = (before + value) / 2
+    return value
+
+
 class PiecewiseLaurent:
     """f(t) = sum_e c_{k,e} t^e on (k, k+1), coefficients ConstLinear."""
 
@@ -83,17 +120,7 @@ class PiecewiseLaurent:
         X = Fraction(X)
         if X <= 0:
             raise ValueError("domain end must be positive")
-        cleaned: List[Dict[int, ConstLinear]] = []
-        for k, piece in enumerate(pieces):
-            cur: Dict[int, ConstLinear] = {}
-            for e, c in piece.items():
-                if not EXP_MIN <= e <= EXP_MAX:
-                    raise ValueError(f"exponent {e} outside [{EXP_MIN}, {EXP_MAX}]")
-                if not isinstance(c, ConstLinear):
-                    c = ConstLinear.scalar(c)
-                if not c.is_zero():
-                    cur[e] = c
-            cleaned.append(cur)
+        cleaned = [_checked(piece) for piece in pieces]
         if len(cleaned) < _min_pieces(X):
             raise ValueError(f"need {_min_pieces(X)} pieces to cover [0, {X}]")
         self.X = X
@@ -126,24 +153,11 @@ class PiecewiseLaurent:
             x = Fraction(x)
         p, s = self._in_domain(x, "evaluation point")
         k = p // s
+        pieces = self.pieces
         if s != 1:
-            return _value(self.pieces[k], p, s)
-        if k == 0:
-            if side in (Side.LEFT, Side.MIDPOINT):
-                raise DomainError("no left limit at 0")
-            return _value(self.pieces[0], 0, 1)
-        if side is Side.LEFT:
-            return _value(self.pieces[k - 1], k, 1)
-        if side is Side.POINT:
-            # the piece whose left-closed interval [k, k+1) contains x,
-            # falling back to the last piece at an uncovered domain end
-            return _value(self.pieces[min(k, self.npieces - 1)], k, 1)
-        if k >= self.npieces:
-            raise DomainError(f"no right limit at the domain end {x}")
-        right = _value(self.pieces[k], k, 1)
-        if side is Side.RIGHT:
-            return right
-        return (_value(self.pieces[k - 1], k, 1) + right) / 2
+            return _value(pieces[k], p, s)
+        return _at_integer(pieces[k - 1] if k else None,
+                           pieces[k] if k < len(pieces) else None, k, side)
 
     def _in_domain(self, x: Fraction, what: str):
         """(p, s) of x = p/s, checked against [0, X] on the integers: x > X
@@ -251,15 +265,15 @@ class PiecewiseLaurent:
             raise FormatError(str(exc)) from exc
 
 
-def _combination(X, *terms) -> PiecewiseLaurent:
-    """The sum of c * t^m * g over the terms (c, m, g) on [0, X], piece by piece.
+def _combine(*terms) -> Iterator[Dict[int, ConstLinear]]:
+    """Yield the pieces of the sum of c * t^m * g over the terms (c, m, g).
 
     Each g is an iterable of exponent -> coefficient maps, such as a
-    function's pieces or the antiderivatives its _prefix yields, and c an int
-    or a Fraction.  The pieces run to the end of the shortest g, and no g
-    after the first exhausted one is drawn from again.
+    function's pieces, a builder's piece stream or the antiderivatives a
+    _prefix yields, and c an int or a Fraction.  The pieces run to the end
+    of the shortest g, and no g after the first exhausted one is drawn from
+    again.  A yielded piece may hold zero coefficients; _checked drops them.
     """
-    pieces = []
     for group in zip(*(g for _, _, g in terms)):
         out: Dict[int, ConstLinear] = {}
         for (c, m, _), piece in zip(terms, group):
@@ -267,8 +281,51 @@ def _combination(X, *terms) -> PiecewiseLaurent:
                 v = v if c == 1 else -v if c == -1 else v * c
                 e += m
                 out[e] = out[e] + v if e in out else v
-        pieces.append(out)
-    return PiecewiseLaurent(X, pieces)
+        yield out
+
+
+def _combination(X, *terms) -> PiecewiseLaurent:
+    """The sum of c * t^m * g over the terms (c, m, g) on [0, X] (_combine)."""
+    return PiecewiseLaurent(X, _combine(*terms))
+
+
+def _walk(X, denom: int, rows, side) -> Iterator[tuple]:
+    """Yield (x, values) at x = k/denom for k = 0..floor(X*denom), where
+    values holds the value at x of each function whose pieces rows yields
+    together: one tuple of pieces per unit interval (j, j+1), from j = 0.
+
+    Each piece passes the check PiecewiseLaurent stores pieces under, and
+    two tuples are held: those of the intervals on either side of the last
+    integer reached.  A non-integer x reads the piece that holds it and an
+    integer x takes _at_integer's value under side(x), so the values are
+    those eval_at gives.  Raises ValueError when rows ends before it covers
+    [0, X], as PiecewiseLaurent does for too few pieces.
+    """
+    X = Fraction(X)
+    need = _min_pieces(X)
+    rows = iter(rows)
+    left = right = None   # the tuples on (j-1, j) and (j, j+1)
+    drawn = 0             # the tuples drawn so far, j + 1
+    for k in range(math.floor(X * denom) + 1):
+        x = Fraction(k, denom)
+        p, s = x.numerator, x.denominator
+        j = p // s
+        while drawn <= j:
+            row = next(rows, None)
+            if row is not None:
+                row = tuple(map(_checked, row))
+            elif drawn < need:
+                raise ValueError(f"need {need} pieces to cover [0, {X}]")
+            else:
+                row = (None,) * len(right)   # past an integer domain end
+            left, right = right, row
+            drawn += 1
+        if s != 1:
+            yield x, tuple(_value(piece, p, s) for piece in right)
+        else:
+            at = side(x)
+            yield x, tuple(_at_integer(before, after, j, at)
+                           for before, after in zip(left or repeat(None), right))
 
 
 def monomial(X, exponent: int, coeff=1) -> PiecewiseLaurent:

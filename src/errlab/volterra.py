@@ -15,6 +15,8 @@ equation for any admissible right-hand side.  The homogeneous equation
 
 Everything here is exact; a residual is a piecewise function whose
 coefficients are ConstLinear forms, zero exactly when every piece is empty.
+Each builder is the list of one private piece generator, which a consumer
+that needs no whole function (the streamed split of ``table``) reads directly.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError
 from .exactnum import ConstLinear
-from .piecewise import PiecewiseLaurent, _combination
+from .piecewise import PiecewiseLaurent, _combination, _combine
 from .sequences import ArithSequence, convolve_id
 
 __all__ = [
@@ -80,14 +82,25 @@ def make_case(a: ArithSequence, X, *, b: Optional[ArithSequence] = None) -> Volt
     return VolterraCase(a, b, b_true, X)
 
 
+def _error_pieces(case: VolterraCase) -> Iterator[dict]:
+    a2coeff = ConstLinear.a2(Fraction(-1, 2))
+    for k in range(math.floor(case.X) + 1):
+        yield {0: ConstLinear(case.b.prefix_sum(k)), 2: a2coeff}
+
+
 def build_error_term(case: VolterraCase) -> PiecewiseLaurent:
     """Er as a piecewise function: constant sum_{n<=k} b(n) on (k, k+1) plus
     the -(A2/2) t^2 main term, right-continuous at integers."""
-    a2coeff = ConstLinear.a2(Fraction(-1, 2))
-    pieces = []
-    for k in range(math.floor(case.X) + 1):
-        pieces.append({0: ConstLinear(case.b.prefix_sum(k)), 2: a2coeff})
-    return PiecewiseLaurent(case.X, pieces)
+    return PiecewiseLaurent(case.X, _error_pieces(case))
+
+
+def _fracpart_pieces(case: VolterraCase) -> Iterator[dict]:
+    slope = ConstLinear.a2(-1)
+    const = ConstLinear.zero()
+    yield {1: slope, 0: const}
+    for k in range(1, math.floor(case.X) + 1):
+        const = const + ConstLinear(case.b_true.value(k)) / k
+        yield {1: slope, 0: const}
 
 
 def build_fracpart_series(case: VolterraCase) -> PiecewiseLaurent:
@@ -97,13 +110,11 @@ def build_fracpart_series(case: VolterraCase) -> PiecewiseLaurent:
     sum_{n<=k} (a(n)/n) floor(k/n); the constant advances by b(k)/k at k,
     with the case's ``b_true`` so the piece data depends on a alone.
     """
-    slope = ConstLinear.a2(-1)
-    const = ConstLinear.zero()
-    pieces = [{1: slope, 0: const}]
-    for k in range(1, math.floor(case.X) + 1):
-        const = const + ConstLinear(case.b_true.value(k)) / k
-        pieces.append({1: slope, 0: const})
-    return PiecewiseLaurent(case.X, pieces)
+    return PiecewiseLaurent(case.X, _fracpart_pieces(case))
+
+
+def _solution_pieces(h_pieces, A: ConstLinear) -> Iterator[dict]:
+    return _combine((1, 1, h_pieces), (1, 1, repeat({0: A})))
 
 
 def solution_family(h: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
@@ -116,7 +127,7 @@ def solution_family(h: PiecewiseLaurent, A=0) -> PiecewiseLaurent:
     """
     if not isinstance(A, ConstLinear):
         A = ConstLinear(A)
-    return _combination(h.X, (1, 1, h.pieces), (1, 1, repeat({0: A})))
+    return PiecewiseLaurent(h.X, _solution_pieces(h.pieces, A))
 
 
 def residual(F: PiecewiseLaurent, E: PiecewiseLaurent) -> PiecewiseLaurent:

@@ -518,6 +518,22 @@ class TestTable:
         assert code == 0
         assert len(rows_of(out)) == 17  # header + 5*3 + 1
 
+    def test_holds_no_split(self, tmp_path, capsys):
+        # the table walks the split's pieces as they are made and holds two
+        # of each part; building E, E_AR and E_AN first peaked at 2.6 MB
+        out = str(tmp_path / "t.csv")
+        argv = ["table", "--seq", "mu_chi", "--D", "-3", "--X", "3", "-o", out]
+        run(argv, capsys)   # imports what a run imports, outside the trace
+        argv[6] = "1000"
+        tracemalloc.start()
+        try:
+            code, _, _ = run(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 500_000
+
     def test_precision_unattainable(self, tmp_path, capsys):
         code, _, err = run(["table", "--seq", "mu", "--X", "5", "--mode", "numeric",
                             "--precision", "1e-12", "-o", str(tmp_path / "t.csv")], capsys)

@@ -243,6 +243,42 @@ class TestDecompose:
             assert ar - h.eval_at(x) * x == A1(Fraction(1, 2) * x), x
 
 
+def _split_case(seq, X):
+    """The case of mu, or of mu twisted by the character of discriminant seq."""
+    a = mobius_sieve(math.ceil(X))
+    return make_case(a if seq == "mu" else twist(a, kronecker_character(seq)), X)
+
+
+SPLITS = ["mu", -3, -4, 5, 8]
+
+
+class TestStreamedSplit:
+    """The table's streamed split against the point API on built functions."""
+
+    @pytest.mark.parametrize("seq", SPLITS)
+    @pytest.mark.parametrize("X", [Fraction(12), Fraction(37, 3)], ids=["12", "37/3"])
+    @pytest.mark.parametrize("denom", [1, 3, 7])
+    def test_grid_equals_split_at(self, seq, X, denom):
+        case = _split_case(seq, X)
+        twisted = seq != "mu"
+        dc = (twisted_case if twisted else untwisted_case)(case)
+        got = list(decomposition._split_grid(case, twisted, denom))
+        assert [x for x, _ in got] == [Fraction(k, denom)
+                                       for k in range(math.floor(X * denom) + 1)]
+        for x, values in got:
+            assert values == split_at(dc, x), x
+
+    @pytest.mark.parametrize("seq", SPLITS)
+    def test_pieces_equal_the_built_parts(self, seq):
+        X = Fraction(37, 3)
+        case = _split_case(seq, X)
+        twisted = seq != "mu"
+        dc = (twisted_case if twisted else untwisted_case)(case)
+        streams = zip(*decomposition._split_pieces(case, twisted))
+        for stream, built in zip(streams, (dc.error, dc.arithmetic_part, dc.analytic_part)):
+            assert PiecewiseLaurent(X, stream) == built
+
+
 class TestTrivialCharacter:
     def test_relations_hold(self):
         case = case_of(mobius_sieve(40))

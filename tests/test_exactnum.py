@@ -170,6 +170,12 @@ class TestConstLinear:
         z = ConstLinear(GaussianRational(Fraction(1, 2), Fraction(1, 3)), 0, 1)
         assert ConstLinear.from_text(z.to_text()) == z
 
+    def test_zero_form_text(self):
+        # to_text writes the zero form without formatting its ints
+        for zero in (ConstLinear.zero(), ConstLinear(Fraction(1, 3)) - Fraction(1, 3),
+                     -ConstLinear.a2(0)):
+            assert zero.to_text() == zero._text(str) == "0/1 + 0/1*A2 + 0/1*A1"
+
 
 def _numeric_bits(v, a2, a1):
     try:

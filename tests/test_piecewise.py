@@ -11,7 +11,7 @@ from conftest import RefConstLinear
 from errlab.errors import DivergentAtZeroError, DomainError, FormatError, LogCaseError
 from errlab.exactnum import ConstLinear, GaussianRational
 from errlab.piecewise import (EXP_MAX, EXP_MIN, PiecewiseLaurent, Side, _combination,
-                              monomial)
+                              _walk, monomial)
 from errlab.sequences import mobius_sieve
 from errlab.volterra import build_fracpart_series, make_case
 
@@ -88,6 +88,60 @@ class TestEval:
         f = monomial(2, -1)
         with pytest.raises(DomainError):
             f.eval_at(0)
+
+
+    def test_midpoint_of_equal_limits_forms_no_sum(self, monkeypatch):
+        def no_mean(*args):
+            raise AssertionError("a mean of two equal limits was formed")
+        monkeypatch.setattr(ConstLinear, "__truediv__", no_mean)
+        assert monomial(3, 2).eval_at(2, Side.MIDPOINT) == ConstLinear.scalar(4)
+
+
+# -- the grid walk over piece streams ----------------------------------------
+
+def _point_then(side):
+    """POINT at 0 and `side` at every positive integer, as a split reads them."""
+    return lambda x: side if x else Side.POINT
+
+
+class TestWalk:
+    @given(laurents(), st.integers(min_value=1, max_value=4),
+           st.sampled_from([Side.POINT, Side.MIDPOINT]))
+    @settings(max_examples=60, deadline=None)
+    def test_values_are_eval_at(self, f, denom, side):
+        g = _combination(f.X, (-3, 0, f.pieces), (1, 0, reversed(f.pieces)))
+        at = _point_then(side)
+        walk = _walk(f.X, denom, zip(f.pieces, g.pieces), at)
+        for k in range(math.floor(f.X * denom) + 1):
+            x = Fraction(k, denom)
+            try:
+                expect = (f.eval_at(x, at(x)), g.eval_at(x, at(x)))
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    next(walk)
+                assert str(got.value) == str(exc)
+                return
+            assert next(walk) == (x, expect)
+        assert next(walk, None) is None
+
+    def test_uncovered_domain_end(self):
+        # two pieces on [0, 2]: POINT extends the last one to 2, MIDPOINT has
+        # no right limit there
+        rows = [({0: ConstLinear(1)},), ({1: ConstLinear(2)},)]
+        assert list(_walk(2, 1, rows, _point_then(Side.POINT)))[-1] == (
+            Fraction(2), (ConstLinear(4),))
+        with pytest.raises(DomainError, match="no right limit at the domain end 2"):
+            list(_walk(2, 1, rows, _point_then(Side.MIDPOINT)))
+
+    def test_pieces_are_checked(self):
+        walk = _walk(1, 2, [({0: 3, 1: ConstLinear.zero()},)], _point_then(Side.POINT))
+        assert [v for _, (v,) in walk] == [ConstLinear(3)] * 3
+        with pytest.raises(ValueError, match="exponent 4 outside"):
+            list(_walk(1, 1, [({4: ConstLinear(1)},)], _point_then(Side.POINT)))
+
+    def test_short_stream_raises(self):
+        with pytest.raises(ValueError, match=r"need 3 pieces to cover \[0, 5/2\]"):
+            list(_walk(Fraction(5, 2), 1, [({},), ({},)], _point_then(Side.POINT)))
 
 
 # -- construction guards ----------------------------------------------------
