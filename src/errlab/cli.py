@@ -147,13 +147,8 @@ def _load_to_X(args):
     return a, b_override, chi, X
 
 
-def _split_for(seq: str, case):
-    """The split of a --seq selector: plain for mu, twisted for mu_chi, else None."""
-    if seq == "mu":
-        return untwisted_case(case)
-    if seq == "mu_chi":
-        return twisted_case(case)
-    return None
+# whether the split of a --seq selector is twisted; a file sequence has none
+_TWISTED = {"mu": False, "mu_chi": True}
 
 
 @contextlib.contextmanager
@@ -180,7 +175,9 @@ def _verify_rows(args) -> Iterator[ReportRow]:
         if extra is not None:
             raise FormatError("--b-file must use the n,value layout")
     case = make_case(a, X, b=b_override)
-    rows = verify_suites(case, args.denom, args.A, _split_for(args.seq, case))
+    twisted = _TWISTED.get(args.seq)
+    split = None if twisted is None else (twisted_case if twisted else untwisted_case)(case)
+    rows = verify_suites(case, args.denom, args.A, split)
     # the frozen maxima cover mu and mu_chi at D = -3
     key = args.seq if args.seq == "mu" else f"{args.seq}_{args.D}"
     if args.mode == "numeric" and key in FROZEN_GROWTH_MAX:
@@ -230,7 +227,7 @@ def cmd_table(args) -> int:
         # before the split's first piece is made, so that the sieve's peak
         # memory does not stack on the pieces
         a2, a1, (b2, b1) = _constants_for_table(args, chi, X)
-    values = _split_grid(make_case(a, X), args.seq == "mu_chi", args.denom)
+    values = _split_grid(make_case(a, X), _TWISTED[args.seq], args.denom)
 
     def row(item):
         x, split = item
@@ -270,14 +267,16 @@ def cmd_solve(args) -> int:
                           "without A2 or A1 terms")
     F = resolvent_function(E, A)
     R = residual(F, E)
-    zeros = []
+    all_zero = True
 
     def row(k):
+        nonlocal all_zero
         x = Fraction(k, args.denom)
         val = F.eval_at(x)   # POINT, as R: the last piece at an open end
         res = R.eval_at(x)
-        zeros.append(res.is_zero())
-        flag = "true" if zeros[-1] else "false"
+        zero = res.is_zero()
+        all_zero = all_zero and zero
+        flag = "true" if zero else "false"
         if numeric:
             return [repr(float(x)), repr(val.numeric(0.0, 0.0).real),
                     repr(res.numeric(0.0, 0.0).real), flag]
@@ -285,7 +284,7 @@ def cmd_solve(args) -> int:
 
     with _output(args) as fh:
         write_csv_rows(fh, ["x", "F", "residual", "exact_zero"], map(row, range(1, top + 1)))
-    return EXIT_PASS if all(zeros) else EXIT_FAIL
+    return EXIT_PASS if all_zero else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

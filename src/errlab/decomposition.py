@@ -28,10 +28,10 @@ f(x, triv) = f(x) and g(x, triv) = g(x) + 1 exact-zero checkable.
 
 Every constructor here takes a VolterraCase from volterra.make_case, so the
 sequence is sieved and convolved once, by the caller; the case's ``b`` feeds
-the error term and its ``b_true`` feeds the series.  g is a piece map of
-the built fractional-part series h, whose constants it reads rather than
-accumulates again.  split_at reads E, E_AR and E_AN at a point under the one
-breakpoint convention of both splits, and the growth statistic reads E.
+the error term and its ``b_true`` feeds the series.  A split keeps the series
+h that E_AR and E_AN are built from (g is a piece map of h), and verify_suites
+reads E and h from it.  split_at reads E, E_AR and E_AN at a point under the
+one breakpoint convention of both splits, and the growth statistic reads E.
 ``table`` builds no split: _split_pieces yields each piece of E, E_AR and
 E_AN from the builders' generators, and _split_grid reads them on a grid in
 lockstep under the same convention, holding two pieces of each part.
@@ -121,10 +121,11 @@ def _fracsquare_pieces(case: VolterraCase, h_pieces, twisted: bool) -> Iterator[
 
 @dataclass(frozen=True)
 class DecompositionCase:
-    """Error term with its arithmetic and analytic parts as functions."""
+    """A split: E, E_AR and E_AN as functions, and the h they are built from."""
 
-    kind: str                    # "untwisted" | "twisted"
+    twisted: bool
     error: PiecewiseLaurent
+    fracpart: PiecewiseLaurent            # h = build_fracpart_series(case)
     arithmetic_part: PiecewiseLaurent     # E_AR = solution_family(h, A)
     analytic_part: PiecewiseLaurent       # E_AN as a function
 
@@ -143,10 +144,9 @@ def _analytic_pieces(g_pieces, c: ConstLinear):
     return _combine((Fraction(1, 2), 0, g_pieces), (1, 0, repeat({0: c})))
 
 
-def _parts(case: VolterraCase, twisted: bool):
-    """(E_AR, E_AN) on [0, X], built through the public builders.  h and g
-    die on return, before the caller builds E."""
-    h = build_fracpart_series(case)
+def _parts(case: VolterraCase, h: PiecewiseLaurent, twisted: bool):
+    """(E_AR, E_AN) on [0, X] from the case's fractional-part series h,
+    built through the public builders; g dies on return."""
     A, c = _split_constants(case, twisted)
     an = PiecewiseLaurent(case.X, _analytic_pieces(
         build_fracsquare_series(case, h, twisted).pieces, c))
@@ -155,14 +155,14 @@ def _parts(case: VolterraCase, twisted: bool):
 
 def untwisted_case(case: VolterraCase) -> DecompositionCase:
     """The Moebius/totient decomposition of a Moebius case on [0, X]."""
-    ar, an = _parts(case, twisted=False)
-    return DecompositionCase("untwisted", build_error_term(case), ar, an)
+    h = build_fracpart_series(case)
+    return DecompositionCase(False, build_error_term(case), h, *_parts(case, h, False))
 
 
 def twisted_case(case: VolterraCase) -> DecompositionCase:
     """The decomposition on [0, X] of a Moebius case twisted by a character."""
-    ar, an = _parts(case, twisted=True)
-    return DecompositionCase("twisted", build_error_term(case), ar, an)
+    h = build_fracpart_series(case)
+    return DecompositionCase(True, build_error_term(case), h, *_parts(case, h, True))
 
 
 def _split_pieces(case: VolterraCase, twisted: bool) -> Iterator[tuple]:
@@ -195,7 +195,7 @@ def split_at(case: DecompositionCase, x):
     """
     if type(x) is not Fraction:
         x = Fraction(x)
-    side = _side_for(case.kind == "twisted", x)
+    side = _side_for(case.twisted, x)
     return (case.error.eval_at(x, side), case.arithmetic_part.eval_at(x, side),
             case.analytic_part.eval_at(x, side))
 
@@ -210,7 +210,7 @@ def _split_grid(case: VolterraCase, twisted: bool, grid_denominator: int):
 
 def _split_start(case: DecompositionCase) -> int:
     """Where a split is claimed from: the plain one misses E by 1/2 below 1."""
-    return 1 if case.kind == "untwisted" else 0
+    return 0 if case.twisted else 1
 
 
 def decompose(case: DecompositionCase, x):
@@ -224,8 +224,8 @@ def decompose(case: DecompositionCase, x):
     start = _split_start(case)
     X = case.error.X
     if x < start or x > X:
-        raise DomainError(f"point {x} outside [{start}, {X}], "
-                          f"where the {case.kind} decomposition is stated")
+        raise DomainError(f"point {x} outside [{start}, {X}], where the "
+                          f"{'' if case.twisted else 'un'}twisted decomposition is stated")
     e, e_ar, e_an = split_at(case, x)
     return e_ar, e_an, e - e_ar - e_an
 
@@ -240,15 +240,16 @@ def trivial_character_relations(case: VolterraCase, plain: DecompositionCase,
 
     ``case`` is a case of the Moebius function and ``plain`` its plain split
     on [0, X'] for some X' >= case.X: a piece of a split does not depend on
-    the domain end, so only the twisted split (with the Moebius declared
-    A1 = 0) is built here.  At every non-integer grid point of [1, case.X],
-    (E_AR,triv - E_AR)/x = f(x, triv) - f(x) and
+    the domain end, so the twisted parts (with the Moebius declared A1 = 0)
+    are built here from the plain h cut to case.X.  At every non-integer grid
+    point of [1, case.X], (E_AR,triv - E_AR)/x = f(x, triv) - f(x) and
     2 (E_AN,triv - E_AN) = g(x, triv) - g(x) - 1 must vanish; alongside,
     sum_{d<=x} mu(d) floor(x/d) = 1 on the same grid.  f and g are built by
     this call; the rows are computed as the returned iterator is read.
     """
     X, a = case.X, case.a
-    ar_triv, an_triv = _parts(case, True)
+    h = PiecewiseLaurent(X, plain.fracpart.pieces[:math.floor(X) + 1])
+    ar_triv, an_triv = _parts(case, h, True)
     f = _combination(X, (1, -1, ar_triv.pieces), (-1, -1, plain.arithmetic_part.pieces))
     g = _combination(X, (2, 0, an_triv.pieces), (-2, 0, plain.analytic_part.pieces))
 
@@ -296,8 +297,9 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
     ``jump[n]`` and ``remainder_continuity[n]`` per integer n <= X.  A split
     (the plain or twisted case of the same sequence, or None) adds
     ``decomposition`` wherever decompose claims it, and the plain one the
-    trivial-character relations on [1, min(X, 100)]; its ``error`` is the E
-    of every suite.  ``case.b`` may be an override, which the suites expose.
+    trivial-character relations on [1, min(X, 100)]; its ``error`` and
+    ``fracpart`` are the E and h of every suite, built here when there is no
+    split.  ``case.b`` may be an override, which the suites expose.
 
     Every residual function is built by this call, so a grid or builder
     error is raised here; each row is computed as the returned iterator
@@ -305,8 +307,8 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
     """
     X = case.X
     top = _grid_top(X, grid_denominator)
-    E = build_error_term(case) if split is None else split.error
-    h = build_fracpart_series(case)
+    E, h = ((build_error_term(case), build_fracpart_series(case)) if split is None
+            else (split.error, split.fracpart))
     families = [(f"volterra[A={A.to_text()}]", residual(solution_family(h, A), E))
                 for A in A_list]
     families.append(("remainder_integral", remainder_integral_residual(E, h)))
@@ -321,9 +323,9 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
         start = _split_start(split)
         split_residual = _combination(X, (1, 0, E.pieces), (-1, 0, split.arithmetic_part.pieces),
                                       (-1, 0, split.analytic_part.pieces))
-        trivial = (trivial_character_relations(replace(case, X=min(X, Fraction(100))), split,
-                                               grid_denominator)
-                   if split.kind == "untwisted" else ())
+        trivial = (() if split.twisted else
+                   trivial_character_relations(replace(case, X=min(X, Fraction(100))), split,
+                                               grid_denominator))
 
     def rows():
         grid = [Fraction(k, grid_denominator) for k in range(1, top + 1)]
@@ -347,10 +349,10 @@ def verify_suites(case: VolterraCase, grid_denominator: int,
             yield _row(f"remainder_continuity[{n}]", Fraction(n), r_right - r_left)
 
         if split is not None:
-            twisted = split.kind == "twisted"
             for x in chain([Fraction(0)], grid):
                 if x >= start:
-                    yield _row("decomposition", x, split_residual.eval_at(x, _side_for(twisted, x)))
+                    yield _row("decomposition", x,
+                               split_residual.eval_at(x, _side_for(split.twisted, x)))
             yield from trivial
     return rows()
 

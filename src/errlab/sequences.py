@@ -266,7 +266,7 @@ def totient_sieve(n: int) -> ArithSequence:
 
 
 def kronecker_symbol(a: int, n: int) -> int:
-    """The Kronecker symbol (a|n) for arbitrary integers, n >= 0 here."""
+    """The Kronecker symbol (a|n) for arbitrary integers a and n."""
     if n == 0:
         return 1 if a in (1, -1) else 0
     if a % 2 == 0 and n % 2 == 0:

@@ -215,6 +215,41 @@ def test_bad_option_values_exit_2(argv, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+# input file name -> its text, for the checks below
+INPUT_FILES = {
+    "pair": "n,a,b\n1,1,1\n2,-1,1\n",
+    "short": "n,value\n1,1\n2,3\n3,4\n",
+    "empty": "",
+    "header": "n,value\n",
+    "square": monomial(4, 2).dumps(),
+    "index": "X: 1\nzero: e0=1/1 + 0/1*A2 + 0/1*A1\n",
+    "entry": "X: 1\n0: x0=1/1\n",
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--X", "2", "--b-file", "{pair}"], "--b-file must use the n,value layout"),
+    (["verify", "--X", "5", "--b-file", "{short}"], "supplied b covers only 1..3 < 5"),
+    (["verify", "--seq", "file:{empty}"], "{empty}: empty file"),
+    (["verify", "--seq", "file:{header}"], "{header}: no data rows"),
+    (["solve", "--input", "{square}", "--A", "0", "--A", "1"],
+     "solve takes a single --A value"),
+    (["solve", "--input", "{index}"], "line 2: expected a piece index"),
+    (["solve", "--input", "{entry}"], "line 2: bad entry 'x0=1/1'"),
+    (["sieve", "--emit", "character"],
+     "--emit character requires --seq mu_chi with --D or --chi-file"),
+], ids=["b-file pair layout", "b-file short", "empty sequence file", "header-only sequence file",
+        "two A", "piece index", "dump entry", "character without one"])
+def test_input_checks_exit_2(argv, message, tmp_path, capsys):
+    paths = {}
+    for name, text in INPUT_FILES.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code, out, err = run([a.format(**paths) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message.format(**paths)}\n"
+
+
 COMMON_OPTIONS = {"-h", "--help", "-o", "--output"}
 SEQ_OPTIONS = {"--seq", "--D", "--chi-file"}
 GRID_OPTIONS = {"--X", "--denom", "--mode"}
@@ -359,6 +394,17 @@ class TestVerify:
         assert code == 0
         growth = [r for r in rows_of(out)[1:] if r[0].startswith("growth")]
         assert growth and growth[0][3] == "true"
+
+    @pytest.mark.parametrize("seq", [["mu"], ["mu_chi", "--D", "-3"]], ids=["plain", "twisted"])
+    def test_one_fracpart_series_per_run(self, seq, monkeypatch, tmp_path, capsys):
+        # the split's h serves every suite and the trivial-character relations
+        calls = []
+        build = decomposition.build_fracpart_series
+        monkeypatch.setattr(decomposition, "build_fracpart_series",
+                            lambda case: calls.append(case) or build(case))
+        code, _, _ = run(["verify", "--seq", *seq, "--X", "12",
+                          "-o", str(tmp_path / "rep.csv")], capsys)
+        assert code == 0 and len(calls) == 1
 
     def test_usage_errors(self, tmp_path, capsys):
         assert run(["verify", "--seq", "mu_chi", "--X", "10"], capsys)[0] == 2
@@ -685,6 +731,26 @@ class TestSolve:
         code, out, err = run(["solve", "--input", str(dump), "--X", "1/7"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "k/3" in err and "1/7" in err
+
+    def test_memory_does_not_grow_per_row(self, tmp_path, capsys):
+        # solve keeps one verdict, not one per row: 90,000 added rows cost at
+        # most 1 B each, where a list of the rows' verdicts costs about 8 B
+        dump = tmp_path / "sq.dump"
+        dump.write_text(monomial(4, 2).dumps())
+        out = tmp_path / "f.csv"
+        # a first run, so that what the first call allocates once is not counted
+        run(["solve", "--input", str(dump), "--denom", "100", "-o", str(out)], capsys)
+        peaks = []
+        for denom in (2500, 25000):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(["solve", "--input", str(dump), "--denom", str(denom),
+                                  "-o", str(out)], capsys)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] - peaks[0] <= 4 * 25000 - 4 * 2500
 
 
 class TestSieve:

@@ -289,6 +289,15 @@ class TestTrivialCharacter:
         rows = list(trivial_character_relations(short, untwisted_case(case)))
         assert rows and rows == list(trivial_character_relations(short, untwisted_case(short)))
 
+    def test_relations_read_the_plain_h(self, monkeypatch):
+        case = case_of(mobius_sieve(20))
+        plain = untwisted_case(case)
+        calls = []
+        monkeypatch.setattr(decomposition, "build_fracpart_series",
+                            lambda case: calls.append(case) or build_fracpart_series(case))
+        rows = list(trivial_character_relations(case, plain))
+        assert rows and all(r.exact_zero for r in rows) and calls == []
+
     def test_g_relation_is_exactly_one(self):
         case = case_of(mobius_sieve(12))
         g_plain = g_of(case)

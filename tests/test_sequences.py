@@ -95,6 +95,8 @@ class TestSieves:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             mobius_sieve(1 << 30)
+        with pytest.raises(ValueError, match="range must be positive"):
+            mobius_sieve(0)
 
 
 class TestCharacters:
@@ -144,6 +146,13 @@ class TestCharacters:
                     assert kronecker_symbol(d, m * n) == \
                         kronecker_symbol(d, m) * kronecker_symbol(d, n)
 
+    def test_kronecker_symbol_negative_n(self):
+        # (a|n) = (a|-1) (a||n|), where (a|-1) is -1 exactly when a < 0
+        for a in range(-12, 13):
+            for n in range(-20, 0):
+                sign = -1 if a < 0 else 1
+                assert kronecker_symbol(a, n) == sign * kronecker_symbol(a, -n), (a, n)
+
     def test_validate_large_modulus_is_fast(self):
         chi = kronecker_character(100001)
         start = time.perf_counter()
@@ -188,6 +197,8 @@ class TestCharacters:
             CharacterSpec(4, (0, 1, 1, -1)).validate()     # nonzero at gcd > 1
         with pytest.raises(ValueError):
             CharacterSpec(2, (0, 1)).validate()            # modulus too small
+        with pytest.raises(ValueError, match="table length must equal the modulus"):
+            CharacterSpec(4, (0, 1, 0)).validate()
 
 
 class TestTwistAndConvolution:
